@@ -23,9 +23,8 @@ cache):
    incremental arm must answer some components from the component cache
    (``component hits > 0``) while returning identical statuses.
 
-Two later workloads ride the same harness: **warm skeletons** (persisted
-blasted-CNF replay vs fresh Tseitin translation) and the **propagation
-loop** before/after comparison — the CDCL-bound chain queries solved on
+A fourth workload rides the same harness: the **propagation loop**
+before/after comparison — the CDCL-bound chain queries solved on
 the legacy hot path (:func:`repro.smt.hotpath.legacy_hot_path`: object
 CDCL, recursive evaluation, unhashed gates) versus the flattened one,
 with per-arm ``propagations``/``sat_decisions`` telemetry in the
@@ -257,82 +256,7 @@ def run_screening(incremental: bool) -> ArmMeasurement:
 
 
 # ----------------------------------------------------------------------
-# Workload 4: warm bit-blasting from persisted CNF skeletons
-# ----------------------------------------------------------------------
-def _skeleton_systems():
-    """CDCL-bound conjunctions (low-bit equalities defeat the incomplete
-    layers), varied so nothing collapses into one cached query."""
-    systems = []
-    for variant in range(6):
-        w = b.bv_var(f"sw{variant}", 16)
-        h = b.bv_var(f"sh{variant}", 16)
-        systems.append(
-            [
-                b.ugt(
-                    b.mul(b.zext(w, 32), b.zext(h, 32)),
-                    b.bv_const(0x00FFFFFF, 32),
-                ),
-                b.eq(b.bvand(w, b.bv_const(7, 16)), b.bv_const(5, 16)),
-                b.eq(
-                    b.bvand(b.add(w, h), b.bv_const(0x00FF, 16)),
-                    b.bv_const((0x40 + variant) & 0xFF, 16),
-                ),
-            ]
-        )
-    return systems
-
-
-def run_skeleton_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
-    """Cold blast-and-store vs warm replay from skeletons alone.
-
-    The warm cache is seeded with *only* the cold run's cnf-kind wire
-    artifacts (no verdicts), so every query re-solves through the
-    complete backend — the arm isolates exactly what a persisted skeleton
-    buys: the Tseitin translation, not the CDCL run.
-    """
-    from repro.smt.cachestore import export_wire_entries, merge_wire_entries
-
-    config = _solver_config(
-        False,
-        sampler=SamplerConfig(
-            random_attempts_per_sample=3,
-            hill_climb_steps=2,
-            perturbation_attempts=2,
-            seed=0,
-        ),
-        heuristic_max_checks=4,
-        bitblast_max_conflicts=100_000,
-    )
-    systems = _skeleton_systems()
-
-    def arm(label: str, cache: SolverCache) -> ArmMeasurement:
-        solver = PortfolioSolver(config, cache=cache)
-        TELEMETRY.reset()
-        started = time.perf_counter()
-        statuses = [solver.check(system).status for system in systems]
-        return ArmMeasurement(
-            label=label,
-            wall_seconds=time.perf_counter() - started,
-            statuses=statuses,
-            telemetry=TELEMETRY.snapshot(),
-            cache_stats=cache.stats.as_dict(),
-        )
-
-    cache_cold = SolverCache()
-    cold = arm("cold", cache_cold)
-    skeleton_wire = [
-        item
-        for item in export_wire_entries(cache_cold)[0]
-        if item.get("k") == "b"
-    ]
-    cache_warm = SolverCache()
-    merge_wire_entries(cache_warm, skeleton_wire)
-    warm = arm("warm", cache_warm)
-    return cold, warm
-
-
-# ----------------------------------------------------------------------
-# Workload 5: flattened propagation loop vs the legacy hot path
+# Workload 4: flattened propagation loop vs the legacy hot path
 # ----------------------------------------------------------------------
 def run_hotpath_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
     """Before/after arms of the solving hot-path flattening.
@@ -425,18 +349,6 @@ def print_screening(fresh: ArmMeasurement, incremental: ArmMeasurement) -> None:
     print(f"statuses equal     : {fresh.statuses == incremental.statuses}")
 
 
-def print_skeletons(cold: ArmMeasurement, warm: ArmMeasurement) -> None:
-    print("\n=== Warm bit-blasting: fresh Tseitin vs persisted skeletons ===")
-    for arm in (cold, warm):
-        print(
-            f"{arm.label:12s}: {arm.wall_seconds:6.3f}s wall, "
-            f"{arm.bitblast_seconds:6.3f}s bitblast/CDCL, "
-            f"skeleton hits {int(arm.telemetry['skeleton_hits'])}, "
-            f"stores {int(arm.telemetry['skeleton_stores'])}"
-        )
-    print(f"statuses equal     : {cold.statuses == warm.statuses}")
-
-
 def print_hotpath(legacy: ArmMeasurement, flat: ArmMeasurement) -> None:
     print("\n=== Propagation loop: legacy hot path vs flattened core ===")
     for arm in (legacy, flat):
@@ -460,8 +372,6 @@ def artifact_payload(
     chain_incremental: ArmMeasurement,
     screen_fresh: ArmMeasurement,
     screen_incremental: ArmMeasurement,
-    skeleton_cold: ArmMeasurement,
-    skeleton_warm: ArmMeasurement,
     hotpath_legacy: ArmMeasurement,
     hotpath_flat: ArmMeasurement,
 ) -> dict:
@@ -498,13 +408,6 @@ def artifact_payload(
             "incremental": arm(screen_incremental),
             "statuses_equal": screen_fresh.statuses == screen_incremental.statuses,
         },
-        "warm_skeletons": {
-            "cold": arm(skeleton_cold),
-            "warm": arm(skeleton_warm),
-            "skeleton_hits": int(skeleton_warm.telemetry["skeleton_hits"]),
-            "skeleton_stores": int(skeleton_cold.telemetry["skeleton_stores"]),
-            "statuses_equal": skeleton_cold.statuses == skeleton_warm.statuses,
-        },
         "propagation_loop": {
             "legacy": arm(hotpath_legacy),
             "flat": arm(hotpath_flat),
@@ -524,8 +427,6 @@ def _gate_failures(
     chain_incremental: ArmMeasurement,
     screen_fresh: ArmMeasurement,
     screen_incremental: ArmMeasurement,
-    skeleton_cold: ArmMeasurement,
-    skeleton_warm: ArmMeasurement,
     hotpath_legacy: ArmMeasurement,
     hotpath_flat: ArmMeasurement,
 ) -> List[str]:
@@ -550,15 +451,6 @@ def _gate_failures(
         )
     if screen_incremental.cache_stats.get("component_hits", 0) <= 0:
         failures.append("screening produced no component-cache hits")
-    if skeleton_cold.statuses != skeleton_warm.statuses:
-        failures.append("warm-skeleton statuses diverge from the cold arm")
-    if skeleton_warm.telemetry["skeleton_hits"] <= 0:
-        failures.append("warm arm replayed no persisted CNF skeletons")
-    if skeleton_warm.bitblast_seconds >= skeleton_cold.bitblast_seconds:
-        failures.append(
-            f"warm bitblast/CDCL time {skeleton_warm.bitblast_seconds:.3f}s "
-            f"not below cold {skeleton_cold.bitblast_seconds:.3f}s"
-        )
     if hotpath_legacy.statuses != hotpath_flat.statuses:
         failures.append(
             "propagation-loop statuses diverge between legacy and flat arms"
@@ -623,16 +515,6 @@ def test_flattened_hot_path_beats_the_legacy_arm(benchmark):
     assert flat.telemetry["sat_decisions"] > 0
 
 
-@pytest.mark.benchmark(group="solver")
-def test_warm_skeletons_skip_the_tseitin_translation(benchmark):
-    """Persisted CNF skeletons replay to identical statuses, faster."""
-    cold, warm = benchmark.pedantic(run_skeleton_arms, rounds=1, iterations=1)
-    print_skeletons(cold, warm)
-    assert cold.statuses == warm.statuses
-    assert warm.telemetry["skeleton_hits"] > 0
-    assert warm.bitblast_seconds < cold.bitblast_seconds
-
-
 # ----------------------------------------------------------------------
 # Standalone entry point (the CI gate)
 # ----------------------------------------------------------------------
@@ -653,9 +535,6 @@ def main() -> int:
     screen_incremental = run_screening(True)
     print_screening(screen_fresh, screen_incremental)
 
-    skeleton_cold, skeleton_warm = run_skeleton_arms()
-    print_skeletons(skeleton_cold, skeleton_warm)
-
     hotpath_legacy, hotpath_flat = run_hotpath_arms()
     print_hotpath(hotpath_legacy, hotpath_flat)
 
@@ -668,8 +547,6 @@ def main() -> int:
             chain_incremental,
             screen_fresh,
             screen_incremental,
-            skeleton_cold,
-            skeleton_warm,
             hotpath_legacy,
             hotpath_flat,
         ),
@@ -683,8 +560,6 @@ def main() -> int:
         chain_incremental,
         screen_fresh,
         screen_incremental,
-        skeleton_cold,
-        skeleton_warm,
         hotpath_legacy,
         hotpath_flat,
     )

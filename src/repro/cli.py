@@ -161,16 +161,18 @@ def _cmd_site(args: argparse.Namespace) -> int:
 
 
 def _positive_int(value: str) -> int:
-    """argparse type for ``--jobs``: an integer >= 1, with a clear error."""
+    """argparse type for count flags: an integer >= 1, with a clear error.
+
+    Shared by several flags, so the message names none of them — argparse
+    already prefixes it with the offending flag.
+    """
     try:
-        jobs = int(value)
+        number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be >= 1 (got {jobs}); use 1 for the serial schedule"
-        )
-    return jobs
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {number})")
+    return number
 
 
 def _store_block(metrics: Optional[dict]) -> dict:
@@ -232,11 +234,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         config.diode.solver.enable_decomposition = False
     if args.no_core_guidance:
         config.diode.solver.enable_unsat_cores = False
-    if args.no_cnf_skeletons:
-        config.diode.solver.enable_cnf_skeletons = False
-    if args.external_sat:
-        config.diode.solver.enable_external_sat = True
-        config.diode.solver.external_sat_shadow = args.external_sat_shadow
     result = CampaignEngine(config).run()
 
     if args.json:
@@ -246,8 +243,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "jobs": result.jobs,
             "incremental": not args.no_incremental,
             "core_guidance": not args.no_core_guidance,
-            "cnf_skeletons": not args.no_cnf_skeletons,
-            "external_sat": bool(args.external_sat),
             "cache_enabled": result.cache_enabled,
             "unit_count": result.unit_count,
             "wall_seconds": round(result.wall_seconds, 3),
@@ -821,36 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(cores prune candidate queries subsumed by an already-proved "
             "infeasible subset; classifications are identical either way — "
             "enforced by benchmarks/bench_enforcement.py)"
-        ),
-    )
-    campaign.add_argument(
-        "--no-cnf-skeletons",
-        action="store_true",
-        help=(
-            "disable reuse of persisted blasted-CNF skeletons (the warm "
-            "bitblast path; a stored skeleton rebuilds the exact CNF a "
-            "fresh Tseitin translation would produce, so classifications "
-            "are identical either way)"
-        ),
-    )
-    campaign.add_argument(
-        "--external-sat",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "route one-shot complete solves to a native PySAT solver when "
-            "the optional python-sat package is importable (--no-external-sat "
-            "is the explicit ablation arm and the default; the knob is "
-            "fingerprinted, so stores never mix external and pure verdicts)"
-        ),
-    )
-    campaign.add_argument(
-        "--external-sat-shadow",
-        action="store_true",
-        help=(
-            "with --external-sat: re-solve every external query on the pure "
-            "CDCL core and fail loudly on a SAT/UNSAT disagreement (the "
-            "parity harness CI runs; roughly doubles complete-solve cost)"
         ),
     )
     campaign.add_argument(

@@ -12,10 +12,10 @@ term would rebuild as a distinct, non-interned object and silently break
 * **back**: :class:`SiteResultPayload` records (classification value, bug
   report, timing — all term-free) plus the worker cache's *new* artifacts
   in the :mod:`repro.smt.cachestore` wire format — whole-query verdicts,
-  component-granularity verdicts, canonical UNSAT cores and blasted-CNF
-  skeletons, each tagged with its kind — which the parent merges into the
-  campaign cache so a persistent store (or a later run) sees every
-  worker's derivations across all four kinds.  When the
+  component-granularity verdicts and canonical UNSAT cores, each tagged
+  with its kind — which the parent merges into the campaign cache so a
+  persistent store (or a later run) sees every worker's derivations
+  across all three kinds.  When the
   campaign enables triage, each unit's result also carries a wire-form
   :class:`~repro.triage.corpus.WitnessRecord` (validated, minimized,
   signed *in the worker*, which parallelizes minimization's concrete
@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Width of :meth:`SolverCache.stats_snapshot` tuples (imported lazily in
 #: workers, so the width is mirrored here; asserted against the class when
 #: a worker builds its state).
-_STATS_FIELDS = 11
+_STATS_FIELDS = 9
 
 
 @dataclass
@@ -145,9 +145,9 @@ class _WorkerState:
             ev.EVENTS.emit(ev.WORKER_UP)
             # Daemon thread, dies with the worker; nothing to stop.
             ev.start_heartbeat(max(0.05, float(heartbeat_seconds)))
-        #: ``(kind, key)`` pairs already shipped to the parent — all four
-        #: artifact kinds (whole-query, component, UNSAT core, CNF
-        #: skeleton) travel through the same delta stream.
+        #: ``(kind, key)`` pairs already shipped to the parent — all three
+        #: artifact kinds (whole-query, component, UNSAT core) travel
+        #: through the same delta stream.
         self.exported_keys: set = set()
         assert SolverCache.STATS_FIELDS == _STATS_FIELDS
         self.stats_mark: Tuple[int, ...] = (0,) * _STATS_FIELDS

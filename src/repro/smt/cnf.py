@@ -113,87 +113,9 @@ class CNF:
         self.encode_or(carry, (and_ab, and_axb_cin))
         return total, carry
 
-    # ------------------------------------------------------------------
-    # DIMACS interchange
-    # ------------------------------------------------------------------
-    def to_dimacs(self) -> str:
-        """Serialise the formula in standard DIMACS CNF format.
-
-        Registered variable names are preserved in ``c var <index> <name>``
-        comment lines so :func:`parse_dimacs` round-trips them; an empty
-        clause (recorded contradiction) serialises as a bare ``0`` line.
-        External SAT backends consume exactly this text.
-        """
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for name in sorted(self._names):
-            lines.append(f"c var {self._names[name]} {name}")
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + (" 0" if clause else "0"))
-        return "\n".join(lines) + "\n"
-
     def __len__(self) -> int:
         return len(self.clauses)
 
     def __repr__(self) -> str:
         return f"CNF(vars={self.num_vars}, clauses={len(self.clauses)})"
 
-
-def parse_dimacs(text: str) -> "CNF":
-    """Parse DIMACS CNF text (as produced by :meth:`CNF.to_dimacs`).
-
-    Restores the variable count, the clause list in order, and any variable
-    names recorded in ``c var`` comment lines.  Raises :class:`ValueError`
-    on malformed input (missing header, literals past the declared variable
-    count, or an unterminated clause).
-    """
-    cnf = CNF()
-    declared_vars: Optional[int] = None
-    declared_clauses: Optional[int] = None
-    pending: List[int] = []
-    names: Dict[str, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("c"):
-            parts = line.split(maxsplit=3)
-            if len(parts) == 4 and parts[1] == "var":
-                try:
-                    names[parts[3]] = int(parts[2])
-                except ValueError:
-                    pass
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"malformed DIMACS problem line: {line!r}")
-            declared_vars = int(parts[2])
-            declared_clauses = int(parts[3])
-            continue
-        if declared_vars is None:
-            raise ValueError("DIMACS clause before the problem line")
-        for token in line.split():
-            lit = int(token)
-            if lit == 0:
-                cnf.add_clause(pending)
-                pending = []
-            else:
-                if abs(lit) > declared_vars:
-                    raise ValueError(
-                        f"literal {lit} exceeds declared variable count {declared_vars}"
-                    )
-                pending.append(lit)
-    if pending:
-        raise ValueError("unterminated DIMACS clause (missing trailing 0)")
-    if declared_vars is None:
-        raise ValueError("missing DIMACS problem line")
-    if declared_clauses is not None and len(cnf.clauses) != declared_clauses:
-        raise ValueError(
-            f"DIMACS header declared {declared_clauses} clauses, "
-            f"parsed {len(cnf.clauses)}"
-        )
-    cnf.num_vars = declared_vars
-    for name, var in names.items():
-        if 0 < var <= declared_vars:
-            cnf._names[name] = var
-    return cnf

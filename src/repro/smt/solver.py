@@ -62,7 +62,6 @@ from repro.smt.evalmodel import EvaluationError, Model, satisfies
 from repro.smt.heuristics import try_algebraic_solution
 from repro.smt.interval import Interval, propagate_intervals
 from repro.smt.sampler import ModelSampler, SamplerConfig, split_conjuncts
-from repro.smt.extsat import external_backend
 from repro.smt.sat import CDCLSolver, SatResult, SatStatus
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term, TermKind
@@ -109,16 +108,6 @@ class SolverResult:
         return self.status == SolverStatus.UNKNOWN
 
 
-class ExternalSatParityError(AssertionError):
-    """The external SAT backend and the pure core disagreed on a status.
-
-    Raised only when ``SolverConfig.external_sat_shadow`` is on.  A
-    SAT/UNSAT split between the two complete backends on the same CNF is a
-    soundness bug in one of them; the shadow turns it into a loud failure
-    instead of a silently divergent classification.
-    """
-
-
 @dataclass
 class SolverConfig:
     """Tuning knobs for :class:`PortfolioSolver`."""
@@ -145,32 +134,6 @@ class SolverConfig:
     #: between observations) instead of opening a fresh session — and
     #: re-blasting the shared constraint prefix — per observation.
     reuse_sessions: bool = True
-    #: Persist and replay blasted-CNF skeletons
-    #: (:class:`~repro.smt.bitblast.CnfSkeleton`) through the attached
-    #: cache: the complete backend looks a canonical conjunct list up
-    #: before translating and stores the translation after, so a warm run
-    #: (or a sibling query in this one) skips the Tseitin step entirely.
-    #: The replayed CNF is the same formula the fresh path would build, so
-    #: statuses and models are identical
-    #: (``repro campaign --no-cnf-skeletons`` disables it).
-    enable_cnf_skeletons: bool = True
-    #: Route one-shot complete solves through a native external SAT solver
-    #: (PySAT) when the optional ``python-sat`` package is importable.  Off
-    #: by default: the default configuration must never depend on an
-    #: optional dependency, and cached verdicts are fingerprinted on this
-    #: knob so pure and external stores never mix
-    #: (``repro campaign --external-sat`` enables it,
-    #: ``--no-external-sat`` is the explicit ablation spelling).
-    #: Incremental sessions always use the pure core — its
-    #: assumption/learned-clause API is what push/pop is built on.
-    enable_external_sat: bool = False
-    #: Shadow every external verdict with the pure CDCL core on the same
-    #: CNF and raise on a SAT/UNSAT disagreement (UNKNOWN on either side is
-    #: a budget artifact and compatible with anything).  CI's
-    #: external-sat-smoke job runs with the shadow on; it costs a full pure
-    #: solve per query, so it is a verification mode, not a speed mode.
-    external_sat_shadow: bool = False
-
     def fingerprint(self) -> Tuple:
         """The knobs a cached verdict depends on.
 
@@ -199,9 +162,6 @@ class SolverConfig:
             self.enable_sessions,
             self.enable_unsat_cores,
             self.reuse_sessions,
-            self.enable_cnf_skeletons,
-            self.enable_external_sat,
-            self.external_sat_shadow,
         )
 
 
@@ -233,11 +193,8 @@ class SolverTelemetry:
         "cores_extracted": "solver.cores_extracted",
         "core_pruned_candidates": "solver.core_pruned_candidates",
         "sessions_reused": "solver.sessions_reused",
-        "skeleton_hits": "solver.skeleton_hits",
-        "skeleton_stores": "solver.skeleton_stores",
         "propagations": "solver.propagations",
         "sat_decisions": "solver.sat_decisions",
-        "external_calls": "solver.external_calls",
     }
 
     #: Registry histogram behind the legacy ``bitblast_seconds`` float.
@@ -281,14 +238,6 @@ class SolverTelemetry:
         """A per-site session was reused for another observation."""
         self._registry.counter("solver.sessions_reused").inc()
 
-    def record_skeleton_hit(self) -> None:
-        """A bit-blast was replayed from a stored CNF skeleton."""
-        self._registry.counter("solver.skeleton_hits").inc()
-
-    def record_skeleton_store(self) -> None:
-        """A fresh bit-blast's CNF skeleton was stored for reuse."""
-        self._registry.counter("solver.skeleton_stores").inc()
-
     def record_bitblast(self, elapsed: float, result: Optional[SatResult]) -> None:
         self._registry.counter("solver.bitblast_calls").inc()
         self._registry.histogram(self._BITBLAST_HISTOGRAM).observe(elapsed)
@@ -300,14 +249,9 @@ class SolverTelemetry:
             )
             # Flattened-loop work counters: wire-merged like every other
             # ``solver.*`` name, so the propagation/decision volume of the
-            # SAT core is visible in ``campaign --json`` and trace reports
-            # regardless of which complete backend ran.
+            # SAT core is visible in ``campaign --json`` and trace reports.
             self._registry.counter("solver.propagations").inc(result.propagations)
             self._registry.counter("solver.sat_decisions").inc(result.decisions)
-
-    def record_external_solve(self) -> None:
-        """A complete solve ran on the external (PySAT) backend."""
-        self._registry.counter("solver.external_calls").inc()
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
@@ -324,11 +268,8 @@ class SolverTelemetry:
             "cores_extracted",
             "core_pruned_candidates",
             "sessions_reused",
-            "skeleton_hits",
-            "skeleton_stores",
             "propagations",
             "sat_decisions",
-            "external_calls",
         ):
             value = raw[key] - self._mark.get(key, 0)
             if key == "bitblast_seconds":
@@ -930,44 +871,14 @@ class PortfolioSolver:
         # useful amount of time, so the portfolio degrades to UNKNOWN instead.
         return wide_multiplications <= 2
 
-    def _complete_solve(self, cnf) -> SatResult:
-        """Run the complete backend on a blasted CNF (one-shot path).
-
-        The pure :class:`CDCLSolver` is the default.  When
-        ``enable_external_sat`` is on and ``python-sat`` is importable the
-        query runs on the external backend instead — with the optional
-        shadow re-solving it on the pure core and refusing to continue on a
-        SAT/UNSAT disagreement, so an external run can never classify
-        differently without failing loudly.  Incremental sessions never
-        route here; they are built on the pure core's assumption API.
-        """
-        budget = self.config.bitblast_max_conflicts
-        if self.config.enable_external_sat:
-            backend = external_backend(cnf, max_conflicts=budget)
-            if backend is not None:
-                result = backend.solve()
-                TELEMETRY.record_external_solve()
-                if self.config.external_sat_shadow:
-                    pure = CDCLSolver(cnf, max_conflicts=budget).solve()
-                    statuses = {result.status, pure.status}
-                    if SatStatus.UNKNOWN not in statuses and len(statuses) > 1:
-                        raise ExternalSatParityError(
-                            f"external backend said {result.status}, "
-                            f"pure CDCL said {pure.status}"
-                        )
-                return result
-        return CDCLSolver(cnf, max_conflicts=budget).solve()
-
     def _bitblast(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
-        if self.cache is not None and self.config.enable_cnf_skeletons:
-            via_skeleton = self._bitblast_via_skeleton(conjuncts)
-            if via_skeleton is not None:
-                return via_skeleton
         started = time.perf_counter()
         try:
             blaster = BitBlaster()
             blaster.assert_all(conjuncts)
-            result = self._complete_solve(blaster.cnf)
+            result = CDCLSolver(
+                blaster.cnf, max_conflicts=self.config.bitblast_max_conflicts
+            ).solve()
         except (BitBlastError, RecursionError, MemoryError):
             TELEMETRY.record_bitblast(time.perf_counter() - started, None)
             return SatStatus.UNKNOWN, None
@@ -975,59 +886,6 @@ class PortfolioSolver:
         if result.status == SatStatus.SAT:
             return SatStatus.SAT, blaster.extract_model(result)
         return result.status, None
-
-    def _bitblast_via_skeleton(
-        self, conjuncts: Sequence[Term]
-    ) -> Optional[Tuple[str, Optional[Model]]]:
-        """Complete backend through the cache's CNF-skeleton table.
-
-        Only *already-canonical* conjunct lists are eligible (the cached
-        pipeline always hands the backend canonical conjuncts; the check
-        is a cheap memoized re-canonicalization).  For those, blasting is
-        a pure function of the interned conjunct list, so a stored
-        skeleton rebuilds the exact CNF the fresh path would build —
-        identical CDCL run, identical status and model, minus the Tseitin
-        translation.  Returns ``None`` to defer to the fresh one-shot
-        path: a non-canonical conjunct list (a session fallback in caller
-        space), or a replayed model that fails verification (a plumbing
-        regression must degrade to re-derivation, not a wrong model).
-        """
-        system = self.cache.canonicalize(
-            list(conjuncts), self._config_fingerprint()
-        )
-        if system.conjuncts != tuple(conjuncts):
-            return None
-        skeleton = self.cache.lookup_cnf(system.conjuncts)
-        started = time.perf_counter()
-        if skeleton is None:
-            try:
-                blaster = BitBlaster()
-                blaster.assert_all(system.conjuncts)
-            except (BitBlastError, RecursionError, MemoryError):
-                TELEMETRY.record_bitblast(time.perf_counter() - started, None)
-                return SatStatus.UNKNOWN, None
-            skeleton = blaster.skeleton()
-            if self.cache.store_cnf(system.conjuncts, skeleton):
-                TELEMETRY.record_skeleton_store()
-            cnf = blaster.cnf
-        else:
-            TELEMETRY.record_skeleton_hit()
-            cnf = skeleton.build_cnf()
-        try:
-            result = self._complete_solve(cnf)
-        except (RecursionError, MemoryError):
-            TELEMETRY.record_bitblast(time.perf_counter() - started, None)
-            return SatStatus.UNKNOWN, None
-        TELEMETRY.record_bitblast(time.perf_counter() - started, result)
-        if result.status != SatStatus.SAT:
-            return result.status, None
-        model = skeleton.extract_model(result)
-        try:
-            if all(satisfies(c, model) for c in conjuncts):
-                return SatStatus.SAT, model
-        except EvaluationError:
-            pass
-        return None
 
 
 class SolverSession:
