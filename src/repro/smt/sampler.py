@@ -17,19 +17,36 @@ Strategy (cheapest first):
    direction suggested by the first falsified conjunct.
 4. If nothing is found, fall back to the complete solver for a single model
    and then perturb unconstrained low-order bits of that model.
+
+Steps 2 and 3 run on a flat-state kernel.  The constructor precomputes one
+draw table per variable and one table per conjunct (its compiled evaluator
+and the move targets of its variables), and the climber changes one plain
+``name -> value`` dict in place, wrapping it in a :class:`Model` only when
+it returns.  The random-number calls and their order are part of the
+contract: a seeded sampler returns the same models call for call.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.smt import builder as b
-from repro.smt.evalmodel import Model, satisfies
+from repro.smt import evalcompile, evalmodel
+from repro.smt.evalmodel import Model, evaluate, satisfies
 from repro.smt.interval import Interval, propagate_intervals
 from repro.smt.simplify import simplify
 from repro.smt.terms import Term, TermKind, mask
+
+#: One variable's draw: ``(lo, hi, boundary candidates or None for a point,
+#: low bit-length, high bit-length, (lo, hi) per bit-length)``.
+_DrawTable = Tuple[int, int, Optional[Tuple[int, ...]], int, int, Tuple[Tuple[int, int], ...]]
+#: One climber move target: ``(name, upper target, lower target, nudge
+#: exponent bound, width mask, draw table)``.
+_Move = Tuple[str, int, int, int, int, _DrawTable]
+#: One conjunct: its 0/1 evaluator over a name -> value dict, and its moves.
+_ConjunctTable = Tuple[Callable[[Dict[str, int]], int], Tuple[_Move, ...]]
 
 
 @dataclass
@@ -80,6 +97,15 @@ class ModelSampler:
         self.feasible_hint = feasible
         self.bounds: Dict[str, Interval] = bounds
         self._anchor: Optional[Model] = None
+        # Flat-state kernel tables: the search reads these, never the terms
+        # or intervals, while it draws and climbs.
+        self._boundary_cut = self.config.boundary_bias
+        self._log_cut = self.config.boundary_bias + 0.3
+        self._draws = [
+            (str(v.name), self._draw_table(str(v.name), v.width)) for v in self.variables
+        ]
+        self._conjunct_tables = [self._conjunct_table(c) for c in self._conjuncts]
+        self._closed = all(str(v.name) in self._widths for v in self.constraint.variables())
 
     # ------------------------------------------------------------------
     # Public API
@@ -103,104 +129,122 @@ class ModelSampler:
         """Return a single model of the constraint, or ``None`` on failure."""
         if self.constraint.kind is TermKind.BOOL_CONST:
             if self.constraint.value:
-                return self._random_point()
+                return Model(self._draw_state())
             return None
         if not self.feasible_hint:
             return None
         for _ in range(self.config.random_attempts_per_sample):
-            candidate = self._random_point()
-            if satisfies(self.constraint, candidate):
-                return candidate
-            improved = self._hill_climb(candidate)
-            if improved is not None:
-                return improved
+            state = self._draw_state()
+            if not self._closed:
+                # Raises the unassigned-variable error of the whole
+                # constraint, exactly where a full check of the draw would.
+                satisfies(self.constraint, state)
+            model = self._climb(state)
+            if model is not None:
+                return model
         return self._fallback_sample()
 
     # ------------------------------------------------------------------
-    # Random point generation
+    # Tables
     # ------------------------------------------------------------------
-    def _random_point(self) -> Model:
-        model = Model()
-        for variable in self.variables:
-            name = str(variable.name)
-            model[name] = self._random_value(name, variable.width)
-        return model
-
-    def _random_value(self, name: str, width: int) -> int:
+    def _draw_table(self, name: str, width: int) -> _DrawTable:
+        """Everything one draw of ``name`` at ``width`` bits needs."""
         interval = self.bounds.get(name, Interval.full(width))
         if interval.is_empty:
             interval = Interval.full(width)
+        lo, hi = interval.lo, interval.hi
         if interval.is_point:
-            return interval.lo
-        roll = self.random.random()
-        if roll < self.config.boundary_bias:
-            # Boundary-biased draws: interval ends and near-power-of-two
-            # points are where overflow constraints flip.
-            candidates = [interval.lo, interval.hi, max(interval.lo, interval.hi - 1)]
-            for shift in (8, 16, 24, 31):
-                point = 1 << shift
-                if interval.lo <= point <= interval.hi:
-                    candidates.append(point)
-                    candidates.append(point - 1)
-            return self.random.choice(candidates)
-        if roll < self.config.boundary_bias + 0.3:
-            # Log-uniform draw: choose a bit-length first so small and large
-            # magnitudes are equally likely.
-            low_bits = max(interval.lo.bit_length(), 1)
-            high_bits = max(interval.hi.bit_length(), 1)
-            bits = self.random.randint(low_bits, high_bits)
-            lo = max(interval.lo, 1 << (bits - 1))
-            hi = min(interval.hi, (1 << bits) - 1)
-            if lo > hi:
-                return self.random.randint(interval.lo, interval.hi)
-            return self.random.randint(lo, hi)
-        return self.random.randint(interval.lo, interval.hi)
+            return lo, hi, None, 0, 0, ()
+        # Boundary candidates: interval ends and near-power-of-two points
+        # are where overflow constraints flip.
+        candidates = [lo, hi, max(lo, hi - 1)]
+        for shift in (8, 16, 24, 31):
+            point = 1 << shift
+            if lo <= point <= hi:
+                candidates.append(point)
+                candidates.append(point - 1)
+        # Log-uniform draws pick a bit-length first, so small and large
+        # magnitudes are equally likely.  Every length between the two ends'
+        # lengths meets [lo, hi], so each clamped range is non-empty.
+        low_bits = max(lo.bit_length(), 1)
+        high_bits = max(hi.bit_length(), 1)
+        ranges = tuple(
+            (max(lo, 1 << (bits - 1)), min(hi, (1 << bits) - 1))
+            for bits in range(low_bits, high_bits + 1)
+        )
+        return lo, hi, tuple(candidates), low_bits, high_bits, ranges
+
+    def _conjunct_table(self, conjunct: Term) -> _ConjunctTable:
+        """A conjunct's evaluator plus the moves the climber may make on it."""
+        check = evalcompile.compiled_evaluator(conjunct) if evalmodel.USE_COMPILED else None
+        if check is None:
+            check = functools.partial(evaluate, conjunct)
+        moves = []
+        for variable in conjunct.variables():
+            name = str(variable.name)
+            if name not in self._widths:
+                continue
+            width = variable.width
+            interval = self.bounds.get(name, Interval.full(width))
+            top = mask(width) if interval.is_empty else interval.hi
+            bottom = 0 if interval.is_empty else interval.lo
+            # A nudge adds 1 << randint(0, exponent): bit width - 2 at most.
+            exponent = max(width - 1, 1) - 1
+            moves.append(
+                (name, top, bottom, exponent, mask(width), self._draw_table(name, width))
+            )
+        return check, tuple(moves)
 
     # ------------------------------------------------------------------
-    # Local search
+    # Kernel
     # ------------------------------------------------------------------
-    def _hill_climb(self, model: Model) -> Optional[Model]:
-        current = model.copy()
-        for _ in range(self.config.hill_climb_steps):
-            failing = self._first_failing_conjunct(current)
-            if failing is None:
-                return current
-            moved = self._move_towards(current, failing)
-            if moved is None:
+    def _draw_value(self, table: _DrawTable) -> int:
+        lo, hi, candidates, low_bits, high_bits, ranges = table
+        if candidates is None:
+            return lo
+        rng = self.random
+        roll = rng.random()
+        if roll < self._boundary_cut:
+            return rng.choice(candidates)
+        if roll < self._log_cut:
+            range_lo, range_hi = ranges[rng.randint(low_bits, high_bits) - low_bits]
+            return rng.randint(range_lo, range_hi)
+        return rng.randint(lo, hi)
+
+    def _draw_state(self) -> Dict[str, int]:
+        draw = self._draw_value
+        return {name: draw(table) for name, table in self._draws}
+
+    def _climb(self, state: Dict[str, int]) -> Optional[Model]:
+        """Hill-climb ``state`` in place; a :class:`Model` of it on success.
+
+        Each step finds the first falsified conjunct and moves one of its
+        variables: to its upper or lower bound, by a power-of-two nudge, or
+        to a fresh draw.  The first check doubles as the check of the draw.
+        """
+        rng = self.random
+        draw = self._draw_value
+        tables = self._conjunct_tables
+        steps = self.config.hill_climb_steps
+        while True:
+            for check, moves in tables:
+                if not check(state):
+                    break
+            else:
+                return Model(state)
+            if not steps or not moves:
                 return None
-            current = moved
-        if satisfies(self.constraint, current):
-            return current
-        return None
-
-    def _first_failing_conjunct(self, model: Model) -> Optional[Term]:
-        for conjunct in self._conjuncts:
-            if not satisfies(conjunct, model):
-                return conjunct
-        return None
-
-    def _move_towards(self, model: Model, conjunct: Term) -> Optional[Model]:
-        """Randomly adjust one variable appearing in the failing conjunct."""
-        variables = [v for v in conjunct.variables() if str(v.name) in self._widths]
-        if not variables:
-            return None
-        variable = self.random.choice(variables)
-        name = str(variable.name)
-        width = variable.width
-        interval = self.bounds.get(name, Interval.full(width))
-        moved = model.copy()
-        strategy = self.random.random()
-        current_value = model.get(name, 0) or 0
-        if strategy < 0.3:
-            moved[name] = interval.hi if not interval.is_empty else mask(width)
-        elif strategy < 0.6:
-            moved[name] = interval.lo if not interval.is_empty else 0
-        elif strategy < 0.8:
-            delta = 1 << self.random.randint(0, max(width - 1, 1) - 1)
-            moved[name] = (current_value + delta) & mask(width)
-        else:
-            moved[name] = self._random_value(name, width)
-        return moved
+            steps -= 1
+            name, top, bottom, exponent, width_mask, table = rng.choice(moves)
+            strategy = rng.random()
+            if strategy < 0.3:
+                state[name] = top
+            elif strategy < 0.6:
+                state[name] = bottom
+            elif strategy < 0.8:
+                state[name] = (state[name] + (1 << rng.randint(0, exponent))) & width_mask
+            else:
+                state[name] = draw(table)
 
     # ------------------------------------------------------------------
     # Complete-solver fallback

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import METRICS, MetricsRegistry
@@ -470,17 +470,13 @@ class PortfolioSolver:
             conjuncts.extend(split_conjuncts(constraint))
         variables = self._collect_variables(conjuncts)
         whole = b.band(*conjuncts) if conjuncts else b.TRUE
-        config = SamplerConfig(
-            random_attempts_per_sample=self.config.sampler.random_attempts_per_sample,
-            hill_climb_steps=self.config.sampler.hill_climb_steps,
-            seed=seed if seed is not None else self.config.sampler.seed,
-            boundary_bias=self.config.sampler.boundary_bias,
-            perturbation_attempts=self.config.sampler.perturbation_attempts,
-        )
         sampler = ModelSampler(
             whole,
             variables,
-            config=config,
+            config=replace(
+                self.config.sampler,
+                seed=seed if seed is not None else self.config.sampler.seed,
+            ),
             fallback_solve=lambda c: self.solve_for_model([c]),
         )
         return sampler.sample(count)
@@ -756,12 +752,16 @@ class PortfolioSolver:
         if model is not None:
             return SolverResult(SolverStatus.SAT, model=model, reason="heuristics")
 
-        # Layer 4: guided sampling.
+        # Layer 4: guided sampling, seeded from the solver's seed unless the
+        # sampler config pins its own, so a configuration decides its models.
         stages.append("sampling")
+        sampler_config = self.config.sampler
+        if sampler_config.seed is None:
+            sampler_config = replace(sampler_config, seed=self.config.seed)
         sampler = ModelSampler(
             whole,
             variables,
-            config=self.config.sampler,
+            config=sampler_config,
             fallback_solve=None,
         )
         model = sampler.sample_one()
