@@ -1,35 +1,13 @@
-"""Enforcement-loop benchmark: UNSAT-core guidance and per-site sessions.
+"""Enforcement-loop benchmark: the flattened solving hot path.
 
-Two workloads back the acceptance bar of the core-guided enforcement stack
-(PR 5), each comparing the *unguided* path (``--no-core-guidance``:
-``SolverConfig.enable_unsat_cores`` off, every candidate query solved) with
-the *guided* default (UNSAT verdicts carry cores; the enforcer accumulates
-them per site and answers any later query whose conjunct set subsumes a
-core without a solver call):
-
-1. **Registry re-analysis** — every registry site's enforcement run twice
-   through its per-site enforcer (the repeated-analysis pattern: warm
-   campaigns, ablation sweeps, multi-observation sites).  The hard
-   invariant, enforced not observed: site classifications are
-   *byte-identical* between the guided and unguided arms, on both passes —
-   core subsumption only ever replaces a solver call that was guaranteed
-   to return UNSAT.  The guided arm must also finish with *strictly fewer
-   enforcement solver checks*: second-pass UNSAT queries (unsatisfiable
-   target constraints, infeasible branch conjunctions) are answered from
-   the accumulated cores.
-2. **CDCL-hard guarded chains** — registry-shaped guarded-allocation
-   programs whose checksum/mask sanity checks defeat the incomplete
-   portfolio layers, so the enforcement loop's terminating UNSAT is proved
-   by the session's assumption-based CDCL (this is where the extracted
-   final-conflict cores are *precise*).  The guided arm must finish with
-   strictly fewer CDCL conflicts and solver checks than the unguided arm,
-   with identical outcomes — re-deriving the UNSAT tail is exactly the
-   work the cores eliminate.
-3. **Hot-path speedup** — the same CDCL-hard chains on the legacy solving
-   stack (:func:`repro.smt.hotpath.legacy_hot_path`) versus the flattened
-   one, byte-identical classifications required and a
-   :data:`MIN_HOTPATH_SPEEDUP` wall-clock floor enforced (the flattening
-   PR's acceptance gate).
+Registry-shaped guarded-allocation programs whose checksum/mask sanity
+checks defeat the incomplete portfolio layers, so the enforcement loop's
+terminating UNSAT is proved by the session's assumption-based CDCL.  Each
+site's enforcement runs :data:`HARD_PASSES` times on the legacy solving
+stack (:func:`repro.smt.hotpath.legacy_hot_path`) and on the flattened
+one.  Classifications must be byte-identical across every pass, and a
+:data:`MIN_HOTPATH_SPEEDUP` wall-clock floor is enforced (the flattening
+PR's acceptance gate).
 
 Emits a machine-readable ``BENCH_enforcement.json`` artifact; set
 ``BENCH_ARTIFACT_DIR`` to redirect it.  Standalone::
@@ -41,14 +19,13 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import pytest
 
 from bench_campaign import write_artifact
 from repro import __version__
-from repro.apps import all_applications
 from repro.apps.appbase import Application
 from repro.core.detection import ErrorDetector
 from repro.core.engine import _better_outcome
@@ -61,18 +38,13 @@ from repro.core.target import extract_target_observations
 from repro.formats.fields import Endianness, FieldKind, FieldSpec
 from repro.formats.spec import FormatSpec
 from repro.lang.program import Program
-from repro.smt.cache import SolverCache
-from repro.smt.solver import TELEMETRY, PortfolioSolver, SolverConfig
+from repro.smt.solver import TELEMETRY, PortfolioSolver
 
-#: Re-analysis passes per site (pass 1 is cold; later passes are where the
-#: accumulated cores answer the repeated UNSAT queries).
-REGISTRY_PASSES = 2
-
-#: Passes for the CDCL-hard chains: the extra pass amplifies the repeated
-#: UNSAT-tail derivations the cores eliminate.
+#: Enforcement passes per site; repeating the UNSAT tail lengthens the
+#: measured stretch of CDCL work.
 HARD_PASSES = 3
 
-#: Number of constant-varied CDCL-hard guarded programs in workload 2.
+#: Number of constant-varied CDCL-hard guarded programs.
 HARD_VARIANTS = 3
 
 #: Required wall-clock speedup of the flattened solving hot path over the
@@ -86,11 +58,11 @@ SUITE_MIN_HOTPATH_SPEEDUP = 3.0
 
 
 # ----------------------------------------------------------------------
-# Shared arm harness
+# Arm harness
 # ----------------------------------------------------------------------
 @dataclass
 class ArmMeasurement:
-    """One arm (guided or unguided) of a workload."""
+    """One arm (legacy or flat) of the workload."""
 
     label: str
     wall_seconds: float
@@ -104,16 +76,8 @@ class ArmMeasurement:
 
     @property
     def checks(self) -> int:
-        """Solver-backed enforcement checks (core-pruned queries excluded)."""
+        """Solver checks the enforcement runs made."""
         return int(self.telemetry["queries"])
-
-    @property
-    def pruned(self) -> int:
-        return int(self.telemetry["core_pruned_candidates"])
-
-
-def _arm_config(guided: bool) -> SolverConfig:
-    return SolverConfig(enable_unsat_cores=guided)
 
 
 def _classify(results: List[EnforcementResult]) -> str:
@@ -125,23 +89,14 @@ def _classify(results: List[EnforcementResult]) -> str:
 
 
 def _run_applications(
-    applications: List[Application],
-    guided: bool,
-    label: str,
-    passes: int,
-    use_cache: bool,
+    applications: List[Application], label: str, passes: int
 ) -> ArmMeasurement:
-    """Drive every site's enforcement ``passes`` times through one arm.
+    """Drive every site's enforcement ``passes`` times, uncached.
 
     Mirrors the campaign's setup — one detector and field mapper per
-    application, one enforcer (hence one session and one core accumulator)
-    per site — so the measured deltas are exactly what core guidance
-    changes.  Workload 1 shares a solver cache like the campaign does;
-    workload 2 runs uncached so the session/CDCL interaction is measured
-    in isolation (cached pure verdicts would hide the repeated complete-
-    backend work the cores eliminate).
+    application, one enforcer per site — but without a solver cache, so
+    every pass repeats the complete-backend work the arms compare.
     """
-    cache = SolverCache() if use_cache else None
     classifications: List[Dict[str, Dict[str, str]]] = [
         {} for _ in range(passes)
     ]
@@ -159,11 +114,7 @@ def _run_applications(
                 field_mapper=mapper,
                 max_observations=2,
             )
-            enforcer = GoalDirectedEnforcer(
-                PortfolioSolver(_arm_config(guided), cache=cache),
-                generator,
-                detector,
-            )
+            enforcer = GoalDirectedEnforcer(PortfolioSolver(), generator, detector)
             for pass_index in range(passes):
                 results = []
                 for observation in observations:
@@ -183,20 +134,7 @@ def _run_applications(
 
 
 # ----------------------------------------------------------------------
-# Workload 1: registry re-analysis
-# ----------------------------------------------------------------------
-def run_registry(guided: bool) -> ArmMeasurement:
-    return _run_applications(
-        all_applications(),
-        guided,
-        "guided" if guided else "unguided",
-        passes=REGISTRY_PASSES,
-        use_cache=True,
-    )
-
-
-# ----------------------------------------------------------------------
-# Workload 2: CDCL-hard guarded chains
+# The workload: CDCL-hard guarded chains
 # ----------------------------------------------------------------------
 def _hard_application(variant: int) -> Application:
     """A guarded allocation whose sanity checks only the CDCL can reason on.
@@ -205,13 +143,11 @@ def _hard_application(variant: int) -> Application:
     regime interval propagation and boundary sampling cannot decide), and
     the mask guards bound the high bytes so that once every guard is
     enforced the overflow target is infeasible — an UNSAT tail proved by
-    the session's assumption-based CDCL, which is what makes its
-    final-conflict core precise.  The square guard exists purely to keep
-    that tail *expensive*: no square is ``5 mod 32``, so flipping the
-    branch is an UNSAT query that costs the CDCL real conflicts even
+    the session's assumption-based CDCL.  The square guard exists purely
+    to keep that tail *expensive*: no square is ``5 mod 32``, so flipping
+    the branch is an UNSAT query that costs the CDCL real conflicts even
     under the structurally-hashed encoder (which refutes the plain
-    checksum tail by root propagation alone) — re-deriving it each pass
-    is exactly the work core subsumption eliminates.
+    checksum tail by root propagation alone).
     """
     w0, h0 = 37 + 8 * variant, 91 + 4 * variant
     checksum1 = (w0 + h0) & 255
@@ -246,41 +182,36 @@ proc main() {{
     )
 
 
-def run_hard_chains(guided: bool) -> ArmMeasurement:
+def run_hard_chains(label: str) -> ArmMeasurement:
     applications = [_hard_application(v) for v in range(HARD_VARIANTS)]
-    return _run_applications(
-        applications,
-        guided,
-        "guided" if guided else "unguided",
-        passes=HARD_PASSES,
-        use_cache=False,
-    )
+    return _run_applications(applications, label, passes=HARD_PASSES)
 
 
-# ----------------------------------------------------------------------
-# Workload 3: flattened solving hot path vs the legacy arm
-# ----------------------------------------------------------------------
 def run_hotpath_speedup() -> Tuple[ArmMeasurement, ArmMeasurement]:
     """The CDCL-hard chains on the legacy vs the flattened hot path.
 
-    Both arms run the *guided* configuration end-to-end — interpreter,
-    enforcement loop, sessions, CDCL — differing only in the solving hot
-    path (:func:`repro.smt.hotpath.legacy_hot_path` swaps in the
-    object-graph CDCL, the recursive term interpreter and the unhashed
-    Tseitin encoder).  Classifications must be byte-identical across
-    every pass; the wall-clock speedup is the flattening PR's acceptance
-    gate.
+    Both arms run end-to-end — interpreter, enforcement loop, sessions,
+    CDCL — differing only in the solving hot path
+    (:func:`repro.smt.hotpath.legacy_hot_path` swaps in the object-graph
+    CDCL, the recursive term interpreter and the unhashed Tseitin
+    encoder).
     """
     from repro.smt.hotpath import legacy_hot_path
 
     with legacy_hot_path():
-        legacy = run_hard_chains(True)
-        legacy.label = "legacy"
-    flat = run_hard_chains(True)
-    flat.label = "flat"
-    return legacy, flat
+        legacy = run_hard_chains("legacy")
+    return legacy, run_hard_chains("flat")
 
 
+def speedup(legacy: ArmMeasurement, flat: ArmMeasurement) -> float:
+    if flat.wall_seconds <= 0:
+        return float("inf")
+    return legacy.wall_seconds / flat.wall_seconds
+
+
+# ----------------------------------------------------------------------
+# Reporting and gates
+# ----------------------------------------------------------------------
 def print_hotpath(legacy: ArmMeasurement, flat: ArmMeasurement) -> None:
     print("\n=== CDCL-hard chains: legacy hot path vs flattened core ===")
     for arm in (legacy, flat):
@@ -294,46 +225,15 @@ def print_hotpath(legacy: ArmMeasurement, flat: ArmMeasurement) -> None:
         "classifications equal: "
         f"{legacy.classifications == flat.classifications}"
     )
-    if flat.wall_seconds > 0:
-        print(f"wall speedup         : {legacy.wall_seconds / flat.wall_seconds:.2f}x")
+    print(f"wall speedup         : {speedup(legacy, flat):.2f}x")
 
 
-# ----------------------------------------------------------------------
-# Reporting and gates
-# ----------------------------------------------------------------------
-def print_arms(title: str, unguided: ArmMeasurement, guided: ArmMeasurement) -> None:
-    print(f"\n=== {title} ===")
-    for arm in (unguided, guided):
-        print(
-            f"{arm.label:9s}: {arm.wall_seconds:6.3f}s wall, "
-            f"{arm.checks} enforcement checks, "
-            f"{arm.conflicts} CDCL conflicts, "
-            f"{arm.pruned} queries answered from cores, "
-            f"{int(arm.telemetry['cores_extracted'])} cores, "
-            f"{int(arm.telemetry['sessions_reused'])} sessions reused"
-        )
-    print(
-        "classifications equal: "
-        f"{unguided.classifications == guided.classifications}"
-    )
-
-
-def artifact_payload(
-    registry_unguided: ArmMeasurement,
-    registry_guided: ArmMeasurement,
-    hard_unguided: ArmMeasurement,
-    hard_guided: ArmMeasurement,
-    hotpath_legacy: ArmMeasurement,
-    hotpath_flat: ArmMeasurement,
-) -> dict:
+def artifact_payload(legacy: ArmMeasurement, flat: ArmMeasurement) -> dict:
     def arm(measurement: ArmMeasurement) -> dict:
         return {
             "wall_seconds": round(measurement.wall_seconds, 4),
             "enforcement_checks": measurement.checks,
             "cdcl_conflicts": measurement.conflicts,
-            "core_pruned_candidates": measurement.pruned,
-            "cores_extracted": int(measurement.telemetry["cores_extracted"]),
-            "sessions_reused": int(measurement.telemetry["sessions_reused"]),
             "propagations": int(measurement.telemetry.get("propagations", 0)),
             "sat_decisions": int(
                 measurement.telemetry.get("sat_decisions", 0)
@@ -343,122 +243,37 @@ def artifact_payload(
     return {
         "benchmark": "enforcement",
         "version": __version__,
-        "registry_passes": REGISTRY_PASSES,
         "hard_passes": HARD_PASSES,
-        "registry": {
-            "unguided": arm(registry_unguided),
-            "guided": arm(registry_guided),
-            "classification_parity": (
-                registry_unguided.classifications
-                == registry_guided.classifications
-            ),
-        },
-        "hard_chains": {
-            "variants": HARD_VARIANTS,
-            "unguided": arm(hard_unguided),
-            "guided": arm(hard_guided),
-            "classification_parity": (
-                hard_unguided.classifications == hard_guided.classifications
-            ),
-        },
         "hotpath": {
+            "variants": HARD_VARIANTS,
             "min_speedup": MIN_HOTPATH_SPEEDUP,
-            "legacy": arm(hotpath_legacy),
-            "flat": arm(hotpath_flat),
+            "legacy": arm(legacy),
+            "flat": arm(flat),
             "classification_parity": (
-                hotpath_legacy.classifications == hotpath_flat.classifications
+                legacy.classifications == flat.classifications
             ),
-            "wall_speedup": round(
-                hotpath_legacy.wall_seconds / hotpath_flat.wall_seconds, 2
-            )
-            if hotpath_flat.wall_seconds > 0
-            else None,
+            "wall_speedup": round(speedup(legacy, flat), 2),
         },
     }
 
 
-def _gate_failures(
-    registry_unguided: ArmMeasurement,
-    registry_guided: ArmMeasurement,
-    hard_unguided: ArmMeasurement,
-    hard_guided: ArmMeasurement,
-    hotpath_legacy: ArmMeasurement,
-    hotpath_flat: ArmMeasurement,
-) -> List[str]:
+def _gate_failures(legacy: ArmMeasurement, flat: ArmMeasurement) -> List[str]:
     failures = []
-    if registry_unguided.classifications != registry_guided.classifications:
-        failures.append(
-            "registry classifications diverge between guided and unguided arms"
-        )
-    if registry_guided.checks >= registry_unguided.checks:
-        failures.append(
-            f"guided registry enforcement checks {registry_guided.checks} not "
-            f"below unguided {registry_unguided.checks}"
-        )
-    if registry_guided.pruned <= 0:
-        failures.append("registry re-analysis answered no queries from cores")
-    if hard_unguided.classifications != hard_guided.classifications:
-        failures.append(
-            "hard-chain classifications diverge between guided and unguided arms"
-        )
-    if hard_guided.conflicts >= hard_unguided.conflicts:
-        failures.append(
-            f"guided CDCL conflicts {hard_guided.conflicts} not below "
-            f"unguided {hard_unguided.conflicts} on the hard chains"
-        )
-    if hard_guided.checks >= hard_unguided.checks:
-        failures.append(
-            f"guided enforcement checks {hard_guided.checks} not below "
-            f"unguided {hard_unguided.checks} on the hard chains"
-        )
-    if hotpath_legacy.classifications != hotpath_flat.classifications:
+    if legacy.classifications != flat.classifications:
         failures.append(
             "hot-path classifications diverge between legacy and flat arms"
         )
-    speedup = (
-        hotpath_legacy.wall_seconds / hotpath_flat.wall_seconds
-        if hotpath_flat.wall_seconds > 0
-        else float("inf")
-    )
-    if speedup < MIN_HOTPATH_SPEEDUP:
+    if speedup(legacy, flat) < MIN_HOTPATH_SPEEDUP:
         failures.append(
-            f"flattened hot path speedup {speedup:.2f}x below the "
+            f"flattened hot path speedup {speedup(legacy, flat):.2f}x below the "
             f"{MIN_HOTPATH_SPEEDUP:.1f}x floor on the CDCL-hard chains"
         )
     return failures
 
 
 # ----------------------------------------------------------------------
-# pytest twins
+# pytest twin
 # ----------------------------------------------------------------------
-@pytest.mark.benchmark(group="enforcement")
-def test_registry_core_guidance_parity_and_fewer_checks(benchmark):
-    """Byte-identical classifications; strictly fewer enforcement checks."""
-
-    def both():
-        return run_registry(False), run_registry(True)
-
-    unguided, guided = benchmark.pedantic(both, rounds=1, iterations=1)
-    print_arms("Registry re-analysis", unguided, guided)
-    assert unguided.classifications == guided.classifications
-    assert guided.checks < unguided.checks
-    assert guided.pruned > 0
-
-
-@pytest.mark.benchmark(group="enforcement")
-def test_hard_chains_guided_saves_cdcl_conflicts(benchmark):
-    """Core subsumption skips the CDCL-derived UNSAT tail on re-analysis."""
-
-    def both():
-        return run_hard_chains(False), run_hard_chains(True)
-
-    unguided, guided = benchmark.pedantic(both, rounds=1, iterations=1)
-    print_arms("CDCL-hard guarded chains", unguided, guided)
-    assert unguided.classifications == guided.classifications
-    assert guided.conflicts < unguided.conflicts
-    assert guided.checks < unguided.checks
-
-
 @pytest.mark.benchmark(group="enforcement")
 def test_flattened_hot_path_speedup_on_hard_chains(benchmark):
     """Identical classifications; the flattening PR's wall-clock gate.
@@ -469,45 +284,20 @@ def test_flattened_hot_path_speedup_on_hard_chains(benchmark):
     legacy, flat = benchmark.pedantic(run_hotpath_speedup, rounds=1, iterations=1)
     print_hotpath(legacy, flat)
     assert legacy.classifications == flat.classifications
-    assert legacy.wall_seconds / flat.wall_seconds >= SUITE_MIN_HOTPATH_SPEEDUP
+    assert speedup(legacy, flat) >= SUITE_MIN_HOTPATH_SPEEDUP
 
 
 # ----------------------------------------------------------------------
 # Standalone entry point (the CI gate)
 # ----------------------------------------------------------------------
 def main() -> int:
-    registry_unguided = run_registry(False)
-    registry_guided = run_registry(True)
-    print_arms("Registry re-analysis", registry_unguided, registry_guided)
+    legacy, flat = run_hotpath_speedup()
+    print_hotpath(legacy, flat)
 
-    hard_unguided = run_hard_chains(False)
-    hard_guided = run_hard_chains(True)
-    print_arms("CDCL-hard guarded chains", hard_unguided, hard_guided)
-
-    hotpath_legacy, hotpath_flat = run_hotpath_speedup()
-    print_hotpath(hotpath_legacy, hotpath_flat)
-
-    path = write_artifact(
-        artifact_payload(
-            registry_unguided,
-            registry_guided,
-            hard_unguided,
-            hard_guided,
-            hotpath_legacy,
-            hotpath_flat,
-        ),
-        name="BENCH_enforcement.json",
-    )
+    path = write_artifact(artifact_payload(legacy, flat), name="BENCH_enforcement.json")
     print(f"\nartifact written: {path}")
 
-    failures = _gate_failures(
-        registry_unguided,
-        registry_guided,
-        hard_unguided,
-        hard_guided,
-        hotpath_legacy,
-        hotpath_flat,
-    )
+    failures = _gate_failures(legacy, flat)
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:

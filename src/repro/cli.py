@@ -176,7 +176,7 @@ def _positive_int(value: str) -> int:
 
 
 def _store_block(metrics: Optional[dict]) -> dict:
-    """The ``store`` summary of a campaign's metrics delta (lock visibility)."""
+    """The ``store`` summary of a campaign's metrics delta (locks, recovery)."""
     from repro.obs.metrics import counter_value, histogram_stats
 
     _, lock_wait = histogram_stats(metrics or {}, "store.lock_wait_seconds")
@@ -188,6 +188,8 @@ def _store_block(metrics: Optional[dict]) -> dict:
         "lock_acquires": counter_value(metrics or {}, "store.lock_acquires"),
         "lock_breaks": counter_value(metrics or {}, "store.lock_breaks"),
         "lock_wait_seconds": round(lock_wait, 6),
+        "corrupt_shards": counter_value(metrics or {}, "store.corrupt_shards"),
+        "records_dropped": counter_value(metrics or {}, "store.records_dropped"),
     }
 
 
@@ -232,8 +234,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.no_incremental:
         config.diode.solver.enable_sessions = False
         config.diode.solver.enable_decomposition = False
-    if args.no_core_guidance:
-        config.diode.solver.enable_unsat_cores = False
     result = CampaignEngine(config).run()
 
     if args.json:
@@ -242,7 +242,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "backend": result.backend,
             "jobs": result.jobs,
             "incremental": not args.no_incremental,
-            "core_guidance": not args.no_core_guidance,
             "cache_enabled": result.cache_enabled,
             "unit_count": result.unit_count,
             "wall_seconds": round(result.wall_seconds, 3),
@@ -327,17 +326,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     else:
         line += "; solver cache: disabled"
     print(line)
-    if result.solver_telemetry is not None:
-        telemetry = result.solver_telemetry
-        print(
-            "solver sessions: "
-            f"{int(telemetry.get('session_checks', 0))} checks, "
-            f"{int(telemetry.get('sessions_reused', 0))} reused across "
-            "observations; unsat cores: "
-            f"{int(telemetry.get('cores_extracted', 0))} accumulated, "
-            f"{int(telemetry.get('core_pruned_candidates', 0))} candidate "
-            "queries pruned"
-        )
     if args.cache_dir:
         print(
             f"cache store {args.cache_dir}: warm-started {result.cache_loaded} "
@@ -806,16 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(the fresh-query reference path; classification parity with "
             "the incremental default is enforced by the test and benchmark "
             "gates)"
-        ),
-    )
-    campaign.add_argument(
-        "--no-core-guidance",
-        action="store_true",
-        help=(
-            "disable UNSAT-core branch guidance in the enforcement loop "
-            "(cores prune candidate queries subsumed by an already-proved "
-            "infeasible subset; classifications are identical either way — "
-            "enforced by benchmarks/bench_enforcement.py)"
         ),
     )
     campaign.add_argument(

@@ -236,9 +236,8 @@ class CampaignResult:
     #: Sites answered by replaying a corpus witness instead of enforcement.
     skipped_known: int = 0
     #: Delta of the process-wide solver telemetry
-    #: (:data:`repro.smt.solver.TELEMETRY`) across the run: bit-blast/CDCL
-    #: effort plus the core-guidance counters (cores extracted, candidates
-    #: pruned, sessions reused).  Counts this process only — the
+    #: (:data:`repro.smt.solver.TELEMETRY`) across the run: query counts
+    #: and bit-blast/CDCL effort.  Counts this process only — the
     #: ``process`` backend's workers solve in their own interpreters.
     solver_telemetry: Optional[Dict[str, float]] = None
     #: Wire-form delta of the campaign-wide metrics registry

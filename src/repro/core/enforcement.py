@@ -18,36 +18,12 @@ is forced through the sanity checks it actually failed while remaining free
 to take any path through the blocking checks.
 
 Solver interaction is *incremental* when the solver configuration enables
-sessions (the default): the loop drives one
-:class:`~repro.smt.solver.SolverSession` — held open across all of a
-site's observations when ``reuse_sessions`` is on, so the persistent
-bit-blaster and learned clauses survive from one observation to the next —
-pushes the target constraint β once per observation, then pushes one
-branch-constraint delta per iteration instead of rebuilding (and
-re-simplifying, re-splitting, re-blasting) the whole conjunction list
-every time.  Classification parity with the fresh-query path is the
-invariant either way.
-
-**UNSAT-core guidance** (``SolverConfig.enable_unsat_cores``, on by
-default): every UNSAT verdict carries a subset of the pushed conjuncts
-that is already jointly infeasible (precise final-conflict cores from the
-session's assumption-based CDCL, component- or whole-conjunction-level
-cores from the cheaper layers).  The enforcer accumulates these cores for
-the lifetime of the site and *prunes* any later candidate query — the
-initial β check or a flipped-branch enforcement check — whose conjunct
-set subsumes an accumulated core: a superset of an unsatisfiable set is
-unsatisfiable, so the verdict is synthesized without touching the solver.
-Because subsumption only ever replaces a solver call that would have
-returned UNSAT, the guided loop takes exactly the decisions the unguided
-loop takes and site classifications are identical by construction (the
-one principled gap: a query the solver would have *timed out* on — budget
-UNKNOWN — can be answered UNSAT by a core, which is strictly more
-accurate; ``benchmarks/bench_enforcement.py`` gates registry-wide parity
-empirically).  In the ablation selection modes (``flip_selection`` of
-``last``/``random``), candidates disjoint from every accumulated core are
-additionally preferred — those modes already deviate from the paper's
-first-flip order, and steering them away from known-infeasible territory
-is exactly the core's job.
+sessions (the default): each observation drives its own
+:class:`~repro.smt.solver.SolverSession`, pushes the target constraint β
+once, then pushes one branch-constraint delta per iteration instead of
+rebuilding (and re-simplifying, re-splitting, re-blasting) the whole
+conjunction list every time.  Classification parity with the fresh-query
+path is the invariant either way.
 """
 
 from __future__ import annotations
@@ -55,7 +31,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.branches import (
     BranchConstraint,
@@ -70,15 +46,9 @@ from repro.core.overflow import OverflowSpec, overflow_constraint
 from repro.core.target import TargetObservation
 from repro.obs.trace import TRACER
 from repro.smt import builder as smt
-from repro.smt.sampler import split_conjuncts
-from repro.smt.simplify import simplify
-from repro.smt.solver import (
-    TELEMETRY,
-    PortfolioSolver,
-    SolverResult,
-    SolverSession,
-    SolverStatus,
-)
+# Unused here; bound so perfbench/layers.py can wrap ``simplify`` by name.
+from repro.smt.simplify import simplify  # noqa: F401
+from repro.smt.solver import PortfolioSolver, SolverResult, SolverSession
 from repro.smt.terms import Term
 
 
@@ -153,18 +123,8 @@ class GoalDirectedEnforcer:
     """Run the goal-directed conditional branch enforcement algorithm.
 
     One enforcer serves one target site (``analyze_site`` constructs one
-    per site) and owns two pieces of cross-observation state:
-
-    * a reusable :class:`~repro.smt.solver.SolverSession` (with
-      ``reuse_sessions``), popped back to an empty stack between
-      observations so the persistent bit-blaster's CNF and the CDCL's
-      learned clauses — both derived from Tseitin definitions alone, hence
-      sound for any later conjunction — carry over;
-    * the accumulated UNSAT cores (with ``enable_unsat_cores``), used to
-      answer later queries whose conjunct set subsumes a core without a
-      solver call.  Soundness invariant: a core is a set of conjuncts whose
-      conjunction is unsatisfiable, so any superset query is UNSAT — the
-      synthesized verdict is one the solver was guaranteed to return.
+    per site) and keeps no state from one observation to the next: each
+    :meth:`run` opens its own solver session or takes the fresh path.
     """
 
     def __init__(
@@ -178,14 +138,6 @@ class GoalDirectedEnforcer:
         self.input_generator = input_generator
         self.detector = detector
         self.config = config or EnforcementConfig()
-        self._session: Optional[SolverSession] = None
-        self._cores: List[FrozenSet[Term]] = []
-
-    # ------------------------------------------------------------------
-    @property
-    def accumulated_cores(self) -> Tuple[FrozenSet[Term], ...]:
-        """UNSAT cores learned at this site so far (each a conjunct set)."""
-        return tuple(self._cores)
 
     # ------------------------------------------------------------------
     def run(self, observation: TargetObservation) -> EnforcementResult:
@@ -216,18 +168,16 @@ class GoalDirectedEnforcer:
             target_constraint=beta,
         )
 
-        # One incremental session per observation — or one per *site* with
-        # ``reuse_sessions`` — β is pushed once, each iteration pushes only
-        # its branch-constraint delta.
-        session = self._acquire_session()
+        # One incremental session per observation: β is pushed once, each
+        # iteration pushes only its branch-constraint delta.
+        session = (
+            self.solver.open_session() if self.solver.config.enable_sessions else None
+        )
 
         # Step 1: solve the target constraint alone.
         if session is not None:
             session.push(beta)
-            active: Set[Term] = set(session.conjuncts)
-        else:
-            active = set(split_conjuncts(simplify(beta)))
-        solver_result = self._check(session, [beta], active)
+        solver_result = self._check(session, [beta])
         if solver_result.is_unsat:
             result.outcome = EnforcementOutcome.TARGET_UNSATISFIABLE
             return self._finish(result, started)
@@ -279,12 +229,10 @@ class GoalDirectedEnforcer:
             result.enforced_branches = list(enforced)
             if session is not None:
                 session.push(flipped.condition)
-                active = set(session.conjuncts)
                 constraints = []
             else:
                 constraints = [beta] + [b.condition for b in enforced]
-                active |= set(split_conjuncts(simplify(flipped.condition)))
-            solver_result = self._check(session, constraints, active)
+            solver_result = self._check(session, constraints)
             if solver_result.is_unsat:
                 result.outcome = EnforcementOutcome.CONSTRAINTS_UNSATISFIABLE
                 result.steps.append(
@@ -322,66 +270,14 @@ class GoalDirectedEnforcer:
         return self._finish(result, started)
 
     # ------------------------------------------------------------------
-    def _acquire_session(self) -> Optional[SolverSession]:
-        """The observation's solver session, or ``None`` on the fresh path.
-
-        With ``reuse_sessions`` the site's one session is popped back to an
-        empty constraint stack and handed out again: everything that
-        survives the pops (the blaster's Tseitin definitions, the CDCL's
-        learned clauses, activities and phases) is implied by — or heuristic
-        state over — the definitional CNF alone, so reuse can steer *which*
-        model a later check finds but never its status.
-        """
-        config = self.solver.config
-        if not config.enable_sessions:
-            return None
-        session = self._session if config.reuse_sessions else None
-        if session is not None:
-            while len(session):
-                session.pop()
-            TELEMETRY.record_session_reuse()
-            return session
-        session = self.solver.open_session()
-        if config.reuse_sessions:
-            self._session = session
-        return session
-
     def _check(
-        self,
-        session: Optional[SolverSession],
-        constraints: Sequence[Term],
-        active: AbstractSet[Term],
+        self, session: Optional[SolverSession], constraints: Sequence[Term]
     ) -> SolverResult:
-        """Decide the current conjunction, consulting accumulated cores.
-
-        ``active`` is the conjunct set the query denotes (the session's
-        stack, or the split/simplified fresh-path constraints — identical
-        by construction).  When core guidance is on and ``active`` subsumes
-        an accumulated core, the UNSAT verdict is synthesized without a
-        solver call; this cannot diverge from the unguided path because the
-        solver is guaranteed to answer a superset of an unsatisfiable set
-        with UNSAT.  Every solver-derived UNSAT feeds its core (or, absent
-        one, the full conjunct set) back into the accumulator.
-        """
-        guided = self.solver.config.enable_unsat_cores
-        if guided and any(core <= active for core in self._cores):
-            TELEMETRY.record_core_pruned()
-            return SolverResult(SolverStatus.UNSAT, reason="unsat-core")
+        """Decide the current conjunction: the session's stack, or
+        ``constraints`` on the fresh path."""
         if session is not None:
-            result = session.check()
-        else:
-            result = self.solver.check(constraints)
-        if guided and result.is_unsat:
-            core = frozenset(result.unsat_core or active)
-            if core and core not in self._cores:
-                self._cores.append(core)
-                TELEMETRY.record_core_extracted()
-        return result
-
-    def _disjoint_from_cores(self, branch: BranchConstraint) -> bool:
-        """Whether a candidate's conjuncts avoid every accumulated core."""
-        conjuncts = set(split_conjuncts(simplify(branch.condition)))
-        return all(not (core & conjuncts) for core in self._cores)
+            return session.check()
+        return self.solver.check(constraints)
 
     # ------------------------------------------------------------------
     def _select_flipped(
@@ -393,10 +289,7 @@ class GoalDirectedEnforcer:
         """Pick which flipped branch to enforce next.
 
         The paper's algorithm takes the first flipped branch in execution
-        order; the other modes exist only for the ablation study.  In those
-        modes, candidates disjoint from every accumulated UNSAT core are
-        preferred when core guidance is on — the paper path is left
-        untouched (its selection is part of the parity contract).
+        order; the other modes exist only for the ablation study.
         """
         if self.config.flip_selection == "first":
             return first_unsatisfied(relevant, assignment)
@@ -410,10 +303,6 @@ class GoalDirectedEnforcer:
             # Fall back to the paper's definition so that termination
             # behaviour (seed path exhausted) stays identical.
             return first_unsatisfied(relevant, assignment)
-        if self.solver.config.enable_unsat_cores and len(unsatisfied) > 1:
-            clear = [b for b in unsatisfied if self._disjoint_from_cores(b)]
-            if clear:
-                unsatisfied = clear
         if self.config.flip_selection == "last":
             return unsatisfied[-1]
         if self.config.flip_selection == "random":

@@ -97,26 +97,10 @@ class BitBlaster:
             raise BitBlastError("can only assert boolean terms")
         return self.blast_bool(constraint)
 
-    def assumptions_for(
-        self, conjuncts
-    ) -> Tuple[List[int], Dict[int, List[Term]]]:
-        """Translate ``conjuncts`` into assumption literals plus their map.
-
-        Returns ``(literals, by_literal)``: one literal per conjunct (in
-        order, for :meth:`CDCLSolver.solve` assumptions) and the inverse map
-        from each literal to every conjunct that blasted to it — terms are
-        hash-consed, so distinct conjuncts can share a literal.  The map is
-        what lets a SAT-level UNSAT core (a subset of the assumption
-        literals) be lifted back to the subset of *terms* that caused the
-        failure.
-        """
-        literals: List[int] = []
-        by_literal: Dict[int, List[Term]] = {}
-        for conjunct in conjuncts:
-            literal = self.literal_for(conjunct)
-            literals.append(literal)
-            by_literal.setdefault(literal, []).append(conjunct)
-        return literals, by_literal
+    def assumptions_for(self, conjuncts) -> List[int]:
+        """One assumption literal per conjunct, in order (for
+        :meth:`CDCLSolver.solve` assumptions)."""
+        return [self.literal_for(conjunct) for conjunct in conjuncts]
 
     def variable_bits(self) -> Dict[str, List[int]]:
         """CNF literals allocated for each bitvector variable (LSB first)."""

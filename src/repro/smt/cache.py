@@ -108,9 +108,6 @@ class SolverCacheStats:
     component_misses: int = 0
     component_stores: int = 0
     component_evictions: int = 0
-    #: Queries answered UNSAT because a stored canonical core subsumed them.
-    core_hits: int = 0
-    core_stores: int = 0
 
     @property
     def lookups(self) -> int:
@@ -140,8 +137,6 @@ class SolverCacheStats:
             "component_stores": self.component_stores,
             "component_evictions": self.component_evictions,
             "component_hit_rate": round(self.component_hit_rate(), 4),
-            "core_hits": self.core_hits,
-            "core_stores": self.core_stores,
         }
 
 
@@ -154,13 +149,11 @@ class SolverCache:
     coordination beyond the internal lock is needed.
     """
 
-    #: Entry kinds: whole-query verdicts, connected-component verdicts and
-    #: canonical UNSAT cores.  The kind strings
-    #: double as the unified store's record namespaces
+    #: Entry kinds: whole-query and connected-component verdicts.  The kind
+    #: strings double as the unified store's record namespaces
     #: (:mod:`repro.store`).
     KIND_QUERY = "query"
     KIND_COMPONENT = "component"
-    KIND_CORE = "core"
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
         self._entries: Dict[Tuple, CachedVerdict] = {}
@@ -176,13 +169,6 @@ class SolverCache:
         # of a component in any whole query lands on one shared key.
         self._component_entries: Dict[Tuple, CachedVerdict] = {}
         self._component_conjuncts: Dict[Tuple, Tuple[Term, ...]] = {}
-        # Canonical UNSAT cores, per fingerprint: frozenset of the core
-        # conjuncts' intern ids -> the core conjunct tuple.  A core is a
-        # semantic certificate ("these canonical conjuncts are jointly
-        # infeasible"), so any canonical query whose conjunct-id set is a
-        # superset is UNSAT without solving.  Small (a handful of terms
-        # each), so unbounded.
-        self._cores: Dict[Tuple, Dict[frozenset, Tuple[Term, ...]]] = {}
         self._lock = threading.Lock()
         self.max_entries = max_entries
         self.stats = SolverCacheStats()
@@ -200,10 +186,6 @@ class SolverCache:
     def component_count(self) -> int:
         """Number of component-granularity entries currently stored."""
         return len(self._component_entries)
-
-    def core_count(self) -> int:
-        """Number of stored canonical UNSAT cores (all fingerprints)."""
-        return sum(len(table) for table in self._cores.values())
 
     # ------------------------------------------------------------------
     def canonicalize(
@@ -322,62 +304,6 @@ class SolverCache:
         conjunct_table[key] = tuple(conjuncts)
         return True
 
-    # ------------------------------------------------------------------
-    # Canonical UNSAT cores (kind "core")
-    # ------------------------------------------------------------------
-    def add_core(
-        self, fingerprint: Tuple, conjuncts: Sequence[Term], merged: bool = False
-    ) -> bool:
-        """Record a canonical UNSAT core; returns whether it was new.
-
-        ``conjuncts`` must be canonical terms (a subset of some canonical
-        system's conjuncts).  Cores are per fingerprint — like every
-        cached verdict, the certificate is only consulted for queries
-        canonicalized under the same solver configuration.  ``merged``
-        selects which counter the insert books (a local derivation vs an
-        adoption from a store or a worker delta).
-        """
-        conjuncts = tuple(conjuncts)
-        ids = frozenset(term._id for term in conjuncts)
-        if not ids:
-            return False
-        with self._lock:
-            table = self._cores.setdefault(fingerprint, {})
-            if ids in table:
-                return False
-            table[ids] = conjuncts
-            if merged:
-                self.stats.merged += 1
-            else:
-                self.stats.core_stores += 1
-            return True
-
-    def match_core(self, system: CanonicalSystem) -> Optional[Tuple[Term, ...]]:
-        """A stored core subsumed by ``system``'s conjuncts, or ``None``.
-
-        Subsumption is set inclusion over intern ids: asserting a superset
-        of a jointly infeasible conjunct set stays infeasible, so a match
-        answers the query UNSAT without solving.
-        """
-        ids = {term._id for term in system.conjuncts}
-        with self._lock:
-            table = self._cores.get(system.key[0])
-            if table:
-                for core_ids, core_conjuncts in table.items():
-                    if core_ids <= ids:
-                        self.stats.core_hits += 1
-                        return core_conjuncts
-        return None
-
-    def cores_snapshot(self) -> List[Tuple[Tuple, Tuple[Term, ...]]]:
-        """Every stored core as ``(fingerprint, conjuncts)``."""
-        with self._lock:
-            return [
-                (fingerprint, conjuncts)
-                for fingerprint, table in self._cores.items()
-                for conjuncts in table.values()
-            ]
-
     def note_invalid_hit(self) -> None:
         """Record a hit whose translated model failed verification."""
         with self._lock:
@@ -390,7 +316,6 @@ class SolverCache:
             self._conjuncts.clear()
             self._component_entries.clear()
             self._component_conjuncts.clear()
-            self._cores.clear()
             self._norm_memo.clear()
             self._key_memo.clear()
 
@@ -439,13 +364,13 @@ class SolverCache:
 
     #: Width of the :meth:`stats_snapshot` tuple (the process backend's
     #: per-worker counter delta).
-    STATS_FIELDS = 9
+    STATS_FIELDS = 7
 
     def stats_snapshot(self) -> Tuple[int, ...]:
         """Atomic reading of the transferable counters.
 
         ``(hits, misses, stores, invalid_hits, component_hits,
-        component_misses, component_stores, core_hits, core_stores)`` —
+        component_misses, component_stores)`` —
         the tuple the process backend ships from workers and folds back
         into the campaign cache via :meth:`add_external_stats`.
         """
@@ -459,8 +384,6 @@ class SolverCache:
                 stats.component_hits,
                 stats.component_misses,
                 stats.component_stores,
-                stats.core_hits,
-                stats.core_stores,
             )
 
     def add_external_stats(
@@ -472,8 +395,6 @@ class SolverCache:
         component_hits: int = 0,
         component_misses: int = 0,
         component_stores: int = 0,
-        core_hits: int = 0,
-        core_stores: int = 0,
     ) -> None:
         """Fold counter deltas from a worker-local cache into this one."""
         with self._lock:
@@ -484,8 +405,6 @@ class SolverCache:
             self.stats.component_hits += component_hits
             self.stats.component_misses += component_misses
             self.stats.component_stores += component_stores
-            self.stats.core_hits += core_hits
-            self.stats.core_stores += core_stores
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,8 @@ in a small wire format plus its payload.  Loading re-interns every term
 against the current process's table and recomputes the key, so a warm
 start is exact regardless of how either process built its DAG.
 
-Three artifact kinds travel through this codec:
-
-* ``query`` / ``component`` — (conjuncts, verdict) pairs, the two cache
-  granularities;
-* ``core`` — canonical UNSAT cores; a warm run answers any query whose
-  canonical conjuncts are a superset of a stored core without solving.
+Two artifact kinds travel through this codec: ``query`` and
+``component`` — (conjuncts, verdict) pairs, the two cache granularities.
 
 Persistence itself — versioned + fingerprint-stamped ``meta.json``,
 sharded files with atomic replaces, and crucially the exclusive-lock
@@ -29,7 +25,6 @@ pickle-friendly list of plain dicts.
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional, Sequence, Tuple
 
 from repro.smt.cache import CachedVerdict, SolverCache
@@ -46,7 +41,9 @@ from repro.store import ArtifactStore, StoreRecord, content_key
 #: so blasted CNFs persisted by older encoders must cold-start.
 #: v5: the ``cnf`` kind and its ``"b"`` wire tag are gone; older stores
 #: cold-start rather than carry records no reader understands.
-FORMAT_VERSION = 5
+#: v6: the ``core`` kind and its ``"u"`` wire tag are gone, for the same
+#: reason.
+FORMAT_VERSION = 6
 
 #: Default number of shard files a store spreads its entries over.
 DEFAULT_SHARD_COUNT = 16
@@ -62,10 +59,7 @@ _WIRE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError)
 #: Wire "k" tags <-> cache kinds.  The absent tag means a whole-query
 #: entry (v2 compatibility of the *format*, not the files — v2 stores are
 #: version-mismatched and reload cold).
-_TAG_BY_KIND = {
-    SolverCache.KIND_COMPONENT: "c",
-    SolverCache.KIND_CORE: "u",
-}
+_TAG_BY_KIND = {SolverCache.KIND_COMPONENT: "c"}
 _KIND_BY_TAG = {tag: kind for kind, tag in _TAG_BY_KIND.items()}
 
 
@@ -166,25 +160,6 @@ def entry_from_wire(obj: dict) -> Tuple[Tuple[Term, ...], CachedVerdict]:
     )
 
 
-def core_to_wire(conjuncts: Sequence[Term]) -> dict:
-    """Serialize a canonical UNSAT core.
-
-    A core is a *set* of conjuncts; its wire conjuncts are sorted by
-    their serialized form so the same core gets the same content key
-    regardless of the order the derivation discovered it in.
-    """
-    wires = sorted(
-        (term_to_wire(c) for c in conjuncts),
-        key=lambda w: json.dumps(w, separators=(",", ":")),
-    )
-    return {"k": "u", "c": wires}
-
-
-def core_from_wire(obj: dict) -> Tuple[Term, ...]:
-    """Inverse of :func:`core_to_wire`."""
-    return tuple(term_from_wire(c) for c in obj["c"])
-
-
 # ----------------------------------------------------------------------
 # Cache <-> wire-entry lists (shared with the process backend)
 # ----------------------------------------------------------------------
@@ -193,9 +168,8 @@ def export_wire_entries(
 ) -> Tuple[List[dict], List[Tuple]]:
     """Serialize ``cache``'s artifacts (minus ``exclude`` tagged keys).
 
-    All three kinds travel: whole-query entries, component-granularity
-    entries and UNSAT cores.  Returns ``(wire_entries,
-    keys)`` in matching order, where each key is a ``(kind, cache key)``
+    Both kinds travel: whole-query and component-granularity entries.
+    Returns ``(wire_entries, keys)`` in matching order, where each key is a ``(kind, cache key)``
     pair — the same tagging ``exclude`` is matched against — so callers
     can record which artifacts have been shipped already.
     """
@@ -212,20 +186,6 @@ def export_wire_entries(
             item["f"] = fingerprint_to_wire(key[0])
             wire.append(item)
             keys.append((kind, key))
-
-    core_excluded = (
-        {key for tag, key in exclude if tag == SolverCache.KIND_CORE}
-        if exclude
-        else set()
-    )
-    for fingerprint, conjuncts in cache.cores_snapshot():
-        key = (fingerprint, frozenset(term._id for term in conjuncts))
-        if key in core_excluded:
-            continue
-        item = core_to_wire(conjuncts)
-        item["f"] = fingerprint_to_wire(fingerprint)
-        wire.append(item)
-        keys.append((SolverCache.KIND_CORE, key))
     return wire, keys
 
 
@@ -239,24 +199,11 @@ def merge_wire_entries(cache: SolverCache, wire_entries: List[dict]) -> List[Tup
     for item in wire_entries:
         try:
             kind = entry_kind(item)
-            if kind == SolverCache.KIND_CORE:
-                fingerprint = fingerprint_from_wire(item["f"])
-                conjuncts = core_from_wire(item)
-                cache.add_core(fingerprint, conjuncts, merged=True)
-                merged.append(
-                    (kind, (fingerprint, frozenset(t._id for t in conjuncts)))
-                )
-            else:
-                fingerprint = fingerprint_from_wire(item["f"])
-                conjuncts, verdict = entry_from_wire(item)
-                merged.append(
-                    (
-                        kind,
-                        cache.merge_canonical(
-                            fingerprint, conjuncts, verdict, kind=kind
-                        ),
-                    )
-                )
+            fingerprint = fingerprint_from_wire(item["f"])
+            conjuncts, verdict = entry_from_wire(item)
+            merged.append(
+                (kind, cache.merge_canonical(fingerprint, conjuncts, verdict, kind=kind))
+            )
         except _WIRE_ERRORS:
             continue
     return merged
@@ -301,17 +248,9 @@ class CacheStore:
                 continue
             try:
                 kind = entry_kind(payload)
-                if kind == SolverCache.KIND_CORE:
-                    if cache.add_core(
-                        fingerprint, core_from_wire(payload), merged=True
-                    ):
-                        merged += 1
-                else:
-                    conjuncts, verdict = entry_from_wire(payload)
-                    cache.merge_canonical(
-                        fingerprint, conjuncts, verdict, kind=kind
-                    )
-                    merged += 1
+                conjuncts, verdict = entry_from_wire(payload)
+                cache.merge_canonical(fingerprint, conjuncts, verdict, kind=kind)
+                merged += 1
             except _WIRE_ERRORS:
                 continue
         return merged
@@ -320,7 +259,7 @@ class CacheStore:
     def save(self, cache: SolverCache, fingerprint: Tuple) -> int:
         """Merge ``cache``'s artifacts into the store; returns the total stored.
 
-        All three kinds are written.  UNKNOWN verdicts are *not*: an
+        Both kinds are written.  UNKNOWN verdicts are *not*: an
         UNKNOWN only records that this run's budget was exhausted, and
         persisting it would pin the failure across runs whose budgets (or
         solver improvements) could decide the query.
@@ -340,15 +279,4 @@ class CacheStore:
                 records.append(
                     StoreRecord(kind, content_key(kind, payload["c"]), payload)
                 )
-        for core_fingerprint, conjuncts in cache.cores_snapshot():
-            if core_fingerprint != fingerprint:
-                continue
-            payload = core_to_wire(conjuncts)
-            records.append(
-                StoreRecord(
-                    SolverCache.KIND_CORE,
-                    content_key(SolverCache.KIND_CORE, payload["c"]),
-                    payload,
-                )
-            )
         return self._store.save(fingerprint_to_wire(fingerprint), records)

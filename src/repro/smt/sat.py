@@ -45,12 +45,7 @@ The solver is *incremental* in the MiniSat sense:
   First-UIP learned clauses resolve only real clauses from the database
   (assumption literals are decisions and are never resolved away), so every
   retained clause is implied by the formula itself and stays sound for
-  later calls with different assumptions;
-* an UNSAT answer under assumptions carries a final-conflict **UNSAT
-  core** (:attr:`SatResult.core`): the subset of assumption literals the
-  failure actually depended on, so callers can learn *which* pushed
-  constraints are jointly infeasible rather than just that the whole
-  conjunction is.
+  later calls with different assumptions.
 
 The per-call conflict budget (``max_conflicts``) bounds the conflicts of
 each :meth:`solve` call separately, matching the per-query budget of the
@@ -85,13 +80,6 @@ class SatResult:
     decisions: int = 0
     propagations: int = 0
     restarts: int = 0
-    #: Final-conflict UNSAT core: a subset of this call's assumption
-    #: literals that is jointly unsatisfiable with the formula.  ``None``
-    #: unless the status is UNSAT; an *empty* tuple means the formula is
-    #: unsatisfiable on its own, with no assumption involved.  The core is
-    #: sound but not guaranteed minimal (it is whatever the final-conflict
-    #: reason graph reached, MiniSat's ``analyzeFinal``).
-    core: Optional[Tuple[int, ...]] = None
 
     @property
     def is_sat(self) -> bool:
@@ -105,12 +93,6 @@ class SatResult:
 def _lit_index(literal: int) -> int:
     """Signed DIMACS-style literal -> literal index (2v / 2v+1)."""
     return (literal << 1) if literal > 0 else (((-literal) << 1) | 1)
-
-
-def _lit_signed(index: int) -> int:
-    """Literal index -> signed DIMACS-style literal."""
-    var = index >> 1
-    return -var if index & 1 else var
 
 
 class CDCLSolver:
@@ -571,20 +553,17 @@ class CDCLSolver:
         pseudo-decisions below the real decision levels, so neither they nor
         anything propagated from them survives into the next call.  An
         assumption literal that is (or becomes) false at a lower level makes
-        the call return UNSAT without poisoning the clause database — and
-        carries the final-conflict core over assumption literals (see
-        :attr:`SatResult.core`; an UNSAT with an empty core means the
-        formula itself is unsatisfiable).
+        the call return UNSAT without poisoning the clause database.
         """
         self._backtrack(0)
         self._sync_with_cnf()
         marks = (self.conflicts, self.decisions, self.propagations, self.restarts)
         if self._contradiction:
-            return self._result(SatStatus.UNSAT, marks=marks, core=())
+            return self._result(SatStatus.UNSAT, marks=marks)
 
         if self._propagate() >= 0:
             self._contradiction = True
-            return self._result(SatStatus.UNSAT, marks=marks, core=())
+            return self._result(SatStatus.UNSAT, marks=marks)
 
         assumptions = [int(lit) for lit in assumptions]
         restart_threshold = 100
@@ -598,7 +577,7 @@ class CDCLSolver:
                 self.conflicts += 1
                 if not self.trail_lim:
                     self._contradiction = True
-                    return self._result(SatStatus.UNSAT, marks=marks, core=())
+                    return self._result(SatStatus.UNSAT, marks=marks)
                 learned, backjump_level = self._analyze(conflict)
                 self._backtrack(backjump_level)
                 self._learn(learned)
@@ -626,11 +605,7 @@ class CDCLSolver:
                 lit_index = _lit_index(literal)
                 value = values[lit_index]
                 if value == 0:
-                    return self._result(
-                        SatStatus.UNSAT,
-                        marks=marks,
-                        core=self._analyze_final(literal),
-                    )
+                    return self._result(SatStatus.UNSAT, marks=marks)
                 self.trail_lim.append(len(self.trail))
                 if value < 0:
                     self._assign(lit_index, -1)
@@ -646,40 +621,6 @@ class CDCLSolver:
             self.trail_lim.append(len(self.trail))
             lit_index = (variable << 1) | (self.saved_phase[variable] ^ 1)
             self._assign(lit_index, -1)
-
-    def _analyze_final(self, failed: int) -> Tuple[int, ...]:
-        """Explain a falsified assumption as a core over assumption literals.
-
-        Called when establishing assumption ``failed`` found it already
-        false.  Walks the trail backwards from ``-failed`` through reason
-        clauses (MiniSat's ``analyzeFinal``): every reached literal assigned
-        with no reason above level 0 is an assumption pseudo-decision (real
-        decisions cannot exist yet — assumptions are established before any
-        branching), and the collected assumptions plus ``failed`` itself are
-        jointly unsatisfiable with the formula.  Level-0 assignments are
-        implied by the formula alone and contribute nothing.
-        """
-        arena = self._arena
-        level = self.level
-        core = {failed}
-        failed_var = abs(failed)
-        if level[failed_var] == 0:
-            return tuple(sorted(core))
-        pending = {failed_var}
-        for lit_index in reversed(self.trail):
-            var = lit_index >> 1
-            if var not in pending:
-                continue
-            pending.discard(var)
-            reason_cref = self.reason[var]
-            if reason_cref < 0:
-                core.add(_lit_signed(lit_index))
-                continue
-            for pos in range(reason_cref + 1, reason_cref + 1 + arena[reason_cref]):
-                other = arena[pos] >> 1
-                if other != var and level[other] > 0:
-                    pending.add(other)
-        return tuple(sorted(core))
 
     def _learn(self, learned: List[int]) -> None:
         if len(learned) == 1:
@@ -705,7 +646,6 @@ class CDCLSolver:
         status: str,
         assignment: Optional[Dict[int, bool]] = None,
         marks: Tuple[int, int, int, int] = (0, 0, 0, 0),
-        core: Optional[Tuple[int, ...]] = None,
     ) -> SatResult:
         return SatResult(
             status=status,
@@ -714,7 +654,6 @@ class CDCLSolver:
             decisions=self.decisions - marks[1],
             propagations=self.propagations - marks[2],
             restarts=self.restarts - marks[3],
-            core=core,
         )
 
 

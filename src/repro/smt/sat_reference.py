@@ -6,7 +6,7 @@ rewritten around flat integer arrays.  It serves two purposes:
 
 * **differential oracle** — property tests solve the same CNF with both
   implementations and require identical SAT/UNSAT statuses (and sound
-  models/cores), pinning the flat rewrite to the original semantics;
+  models), pinning the flat rewrite to the original semantics;
 * **"before" benchmark arm** — ``benchmarks/bench_solver.py`` and
   ``benchmarks/bench_enforcement.py`` swap this solver (and the interpreted
   term evaluator) back in via :func:`repro.smt.hotpath.legacy_hot_path` to
@@ -347,21 +347,18 @@ class ReferenceCDCLSolver:
         pseudo-decisions below the real decision levels, so neither they nor
         anything propagated from them survives into the next call.  An
         assumption literal that is (or becomes) false at a lower level makes
-        the call return UNSAT without poisoning the clause database — and
-        carries the final-conflict core over assumption literals (see
-        :attr:`SatResult.core`; an UNSAT with an empty core means the
-        formula itself is unsatisfiable).
+        the call return UNSAT without poisoning the clause database.
         """
         self._backtrack(0)
         self._sync_with_cnf()
         marks = (self.conflicts, self.decisions, self.propagations, self.restarts)
         if self._contradiction:
-            return self._result(SatStatus.UNSAT, marks=marks, core=())
+            return self._result(SatStatus.UNSAT, marks=marks)
 
         conflict = self._propagate()
         if conflict is not None:
             self._contradiction = True
-            return self._result(SatStatus.UNSAT, marks=marks, core=())
+            return self._result(SatStatus.UNSAT, marks=marks)
 
         assumptions = [int(lit) for lit in assumptions]
         restart_threshold = 100
@@ -374,7 +371,7 @@ class ReferenceCDCLSolver:
                 self.conflicts += 1
                 if self._decision_level() == 0:
                     self._contradiction = True
-                    return self._result(SatStatus.UNSAT, marks=marks, core=())
+                    return self._result(SatStatus.UNSAT, marks=marks)
                 learned, backjump_level = self._analyze(conflict)
                 self._backtrack(backjump_level)
                 self._learn(learned)
@@ -401,11 +398,7 @@ class ReferenceCDCLSolver:
                 literal = assumptions[self._decision_level()]
                 value = self._value(literal)
                 if value is False:
-                    return self._result(
-                        SatStatus.UNSAT,
-                        marks=marks,
-                        core=self._analyze_final(literal),
-                    )
+                    return self._result(SatStatus.UNSAT, marks=marks)
                 self.trail_lim.append(len(self.trail))
                 if value is None:
                     self._assign(literal, None)
@@ -421,37 +414,6 @@ class ReferenceCDCLSolver:
             self.trail_lim.append(len(self.trail))
             phase = self.saved_phase[variable]
             self._assign(variable if phase else -variable, None)
-
-    def _analyze_final(self, failed: int) -> Tuple[int, ...]:
-        """Explain a falsified assumption as a core over assumption literals.
-
-        Called when establishing assumption ``failed`` found it already
-        false.  Walks the trail backwards from ``-failed`` through reason
-        clauses (MiniSat's ``analyzeFinal``): every reached literal assigned
-        with no reason above level 0 is an assumption pseudo-decision (real
-        decisions cannot exist yet — assumptions are established before any
-        branching), and the collected assumptions plus ``failed`` itself are
-        jointly unsatisfiable with the formula.  Level-0 assignments are
-        implied by the formula alone and contribute nothing.
-        """
-        core = {failed}
-        if self.level[abs(failed)] == 0:
-            return tuple(sorted(core))
-        pending = {abs(failed)}
-        for trail_literal in reversed(self.trail):
-            var = abs(trail_literal)
-            if var not in pending:
-                continue
-            pending.discard(var)
-            reason = self.reason[var]
-            if reason is None:
-                core.add(trail_literal)
-                continue
-            for clause_literal in reason.literals:
-                other = abs(clause_literal)
-                if other != var and self.level[other] > 0:
-                    pending.add(other)
-        return tuple(sorted(core))
 
     def _learn(self, learned: List[int]) -> None:
         if len(learned) == 1:
@@ -474,7 +436,6 @@ class ReferenceCDCLSolver:
         status: str,
         assignment: Optional[Dict[int, bool]] = None,
         marks: Tuple[int, int, int, int] = (0, 0, 0, 0),
-        core: Optional[Tuple[int, ...]] = None,
     ) -> SatResult:
         return SatResult(
             status=status,
@@ -483,7 +444,6 @@ class ReferenceCDCLSolver:
             decisions=self.decisions - marks[1],
             propagations=self.propagations - marks[2],
             restarts=self.restarts - marks[3],
-            core=core,
         )
 
 

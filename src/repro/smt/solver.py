@@ -35,14 +35,6 @@ queries:
   :class:`~repro.smt.sat.CDCLSolver`, so only delta conjuncts are blasted
   and learned clauses carry over between checks; per-check conjuncts are
   asserted through CDCL assumptions, never permanent units.
-
-UNSAT verdicts additionally carry an **UNSAT core**
-(:attr:`SolverResult.unsat_core`, ``enable_unsat_cores``): a subset of
-the query's conjuncts that is already jointly infeasible — precise
-final-conflict cores from a session's assumption-based CDCL, the UNSAT
-component's conjuncts under decomposition, the full conjunction
-otherwise.  The enforcement loop accumulates cores per target site and
-prunes candidate queries subsumed by one (see ``docs/solver.md``).
 """
 
 from __future__ import annotations
@@ -84,16 +76,6 @@ class SolverResult:
     reason: str = ""
     elapsed_seconds: float = 0.0
     stages_tried: Tuple[str, ...] = ()
-    #: For UNSAT results (with ``enable_unsat_cores``): a subset of the
-    #: query's conjuncts whose conjunction is already unsatisfiable, in the
-    #: caller's term space.  The core is sound but not necessarily minimal:
-    #: a session's assumption-based CDCL yields the final-conflict subset,
-    #: an UNSAT connected component yields that component's conjuncts, and
-    #: the remaining UNSAT layers fall back to the full conjunct list.
-    #: ``None`` when the status is not UNSAT, when cores are disabled, or
-    #: when the verdict came from a cache hit (cores are per-derivation and
-    #: are never cached).
-    unsat_core: Optional[Tuple[Term, ...]] = None
 
     @property
     def is_sat(self) -> bool:
@@ -124,16 +106,7 @@ class SolverConfig:
     #: Let callers that hold a :class:`SolverSession` drive the incremental
     #: push/pop path (the enforcement loop checks this knob).
     enable_sessions: bool = True
-    #: Attach UNSAT cores (:attr:`SolverResult.unsat_core`) to UNSAT
-    #: verdicts and let the enforcement loop use them to prune candidate
-    #: branch queries whose conjunct set is subsumed by an accumulated core
-    #: (``repro campaign --no-core-guidance`` disables this).
-    enable_unsat_cores: bool = True
-    #: Reuse one :class:`SolverSession` across all of a target site's
-    #: observations (the enforcement loop pops back to an empty stack
-    #: between observations) instead of opening a fresh session — and
-    #: re-blasting the shared constraint prefix — per observation.
-    reuse_sessions: bool = True
+
     def fingerprint(self) -> Tuple:
         """The knobs a cached verdict depends on.
 
@@ -160,8 +133,6 @@ class SolverConfig:
             sampler.perturbation_attempts,
             self.enable_decomposition,
             self.enable_sessions,
-            self.enable_unsat_cores,
-            self.reuse_sessions,
         )
 
 
@@ -190,9 +161,6 @@ class SolverTelemetry:
         "cdcl_conflicts": "solver.cdcl_conflicts",
         "cdcl_decisions": "solver.cdcl_decisions",
         "cdcl_propagations": "solver.cdcl_propagations",
-        "cores_extracted": "solver.cores_extracted",
-        "core_pruned_candidates": "solver.core_pruned_candidates",
-        "sessions_reused": "solver.sessions_reused",
         "propagations": "solver.propagations",
         "sat_decisions": "solver.sat_decisions",
     }
@@ -226,18 +194,6 @@ class SolverTelemetry:
         if session:
             self._registry.counter("solver.session_checks").inc()
 
-    def record_core_extracted(self) -> None:
-        """An enforcement loop accumulated a new UNSAT core."""
-        self._registry.counter("solver.cores_extracted").inc()
-
-    def record_core_pruned(self) -> None:
-        """An enforcement candidate query was answered by core subsumption."""
-        self._registry.counter("solver.core_pruned_candidates").inc()
-
-    def record_session_reuse(self) -> None:
-        """A per-site session was reused for another observation."""
-        self._registry.counter("solver.sessions_reused").inc()
-
     def record_bitblast(self, elapsed: float, result: Optional[SatResult]) -> None:
         self._registry.counter("solver.bitblast_calls").inc()
         self._registry.histogram(self._BITBLAST_HISTOGRAM).observe(elapsed)
@@ -265,9 +221,6 @@ class SolverTelemetry:
             "cdcl_conflicts",
             "cdcl_decisions",
             "cdcl_propagations",
-            "cores_extracted",
-            "core_pruned_candidates",
-            "sessions_reused",
             "propagations",
             "sat_decisions",
         ):
@@ -282,32 +235,6 @@ class SolverTelemetry:
 #: The process-wide telemetry instance (see :class:`SolverTelemetry`).
 TELEMETRY = SolverTelemetry()
 
-
-def _translate_core(
-    core: Sequence[Term],
-    canonical_conjuncts: Sequence[Term],
-    conjuncts: Sequence[Term],
-) -> Optional[Tuple[Term, ...]]:
-    """Map an UNSAT core from canonical space back to the caller's terms.
-
-    Canonicalization preserves positions (conjunct ``i`` rewrites to
-    canonical conjunct ``i``), so each canonical core term maps back to the
-    first original conjunct that produced it (cores are sets — when two
-    conjuncts canonicalize identically, naming either one is sound).
-    Returns ``None`` if a core term has no preimage (cannot happen through
-    the positional pipeline; guarded so a plumbing regression degrades to
-    "no core" instead of an unsound one).
-    """
-    back: Dict[Term, Term] = {}
-    for original, canonical in zip(conjuncts, canonical_conjuncts):
-        back.setdefault(canonical, original)
-    translated: List[Term] = []
-    for term in core:
-        original = back.get(term)
-        if original is None:
-            return None
-        translated.append(original)
-    return tuple(dict.fromkeys(translated))
 
 #: Signature of the complete-backend hook: conjuncts -> (status, model).
 BitblastFn = Callable[[Sequence[Term]], Tuple[str, Optional[Model]]]
@@ -332,25 +259,18 @@ class _TrackedBackend:
     treated as tainted) and propagates through nested wrappers, so a
     component-level tainted call also marks the enclosing whole-query
     wrapper.
-
-    The wrapper also forwards the hook's per-call ``last_call_core`` (the
-    UNSAT-core terms of a session's assumption-based CDCL, in the space of
-    the conjuncts passed to that call), so core extraction survives the
-    cache/decomposition plumbing between the session and the portfolio.
     """
 
-    __slots__ = ("fn", "used", "last_call_tainted", "last_call_core")
+    __slots__ = ("fn", "used", "last_call_tainted")
 
     def __init__(self, fn: BitblastFn) -> None:
         self.fn = fn
         self.used = False
         self.last_call_tainted = False
-        self.last_call_core: Optional[Tuple[Term, ...]] = None
 
     def __call__(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
         result = self.fn(conjuncts)
         self.last_call_tainted = getattr(self.fn, "last_call_tainted", True)
-        self.last_call_core = getattr(self.fn, "last_call_core", None)
         self.used = self.used or self.last_call_tainted
         return result
 
@@ -549,44 +469,9 @@ class PortfolioSolver:
             # re-derive (and overwrite) the entry.
             self.cache.note_invalid_hit()
 
-        if self.config.enable_unsat_cores:
-            # A stored canonical core whose conjuncts are a subset of this
-            # system's is a proof: asserting a superset of a jointly
-            # infeasible set stays infeasible.  Answer UNSAT without
-            # solving and store the verdict like any other derivation
-            # (it is a pure function of the canonical system).
-            core = self.cache.match_core(system)
-            if core is not None:
-                stages.append("core-subsumed")
-                store(
-                    system,
-                    CachedVerdict(
-                        status=SolverStatus.UNSAT,
-                        canonical_model=None,
-                        reason="core-subsumed",
-                        stages=("core-subsumed",),
-                    ),
-                )
-                return SolverResult(
-                    SolverStatus.UNSAT,
-                    reason="core-subsumed",
-                    unsat_core=_translate_core(
-                        core, system.conjuncts, conjuncts
-                    ),
-                )
-
         mark = len(stages)
         tracked = _TrackedBackend.wrap(bitblast_fn)
         canonical_result = solve(list(system.conjuncts), stages, tracked)
-        if (
-            canonical_result.is_unsat
-            and canonical_result.unsat_core
-            and self.config.enable_unsat_cores
-        ):
-            # Cores are sound whatever derived them (even a session's
-            # history-dependent CDCL: the certificate is about the terms,
-            # not the search), so record them even for tainted verdicts.
-            self.cache.add_core(system.key[0], canonical_result.unsat_core)
         if tracked is None or not tracked.used:
             store(
                 system,
@@ -602,13 +487,6 @@ class PortfolioSolver:
         )
         if canonical_result.is_sat:
             result.model = system.translate_model(canonical_result.model)
-        elif canonical_result.unsat_core is not None:
-            # Canonicalization is positional (conjunct i renames to
-            # canonical conjunct i), so a core over canonical terms maps
-            # straight back to the caller's conjuncts.
-            result.unsat_core = _translate_core(
-                canonical_result.unsat_core, system.conjuncts, conjuncts
-            )
         return result
 
     def _config_fingerprint(self) -> Tuple:
@@ -652,13 +530,7 @@ class PortfolioSolver:
                 if stage not in stages:
                     stages.append(stage)
             if result.is_unsat:
-                # The UNSAT component's core (or, failing that, its whole
-                # conjunct list) is already a core of the whole query.
-                return SolverResult(
-                    SolverStatus.UNSAT,
-                    reason=result.reason,
-                    unsat_core=result.unsat_core or tuple(component.conjuncts),
-                )
+                return SolverResult(SolverStatus.UNSAT, reason=result.reason)
             if not result.is_sat:
                 # Keep scanning: an UNSAT in a later component still decides
                 # the whole query even when this one timed out.
@@ -726,14 +598,7 @@ class PortfolioSolver:
         stages.append("intervals")
         feasible, bounds = propagate_intervals(conjuncts, widths)
         if not feasible:
-            # The contractor does not explain which conjuncts emptied the
-            # box; the full (component-granularity) conjunct list is still
-            # a sound core.
-            return SolverResult(
-                SolverStatus.UNSAT,
-                reason="interval propagation",
-                unsat_core=tuple(conjuncts),
-            )
+            return SolverResult(SolverStatus.UNSAT, reason="interval propagation")
         point_model = self._point_model_if_determined(variables, bounds)
         if point_model is not None and all(
             satisfies(c, point_model) for c in conjuncts
@@ -778,16 +643,7 @@ class PortfolioSolver:
                     SolverStatus.SAT, model=restricted, reason="bitblast"
                 )
             if status == SatStatus.UNSAT:
-                core = (
-                    getattr(bitblast_fn, "last_call_core", None)
-                    if bitblast_fn is not None
-                    else None
-                )
-                return SolverResult(
-                    SolverStatus.UNSAT,
-                    reason="bitblast",
-                    unsat_core=core or tuple(conjuncts),
-                )
+                return SolverResult(SolverStatus.UNSAT, reason="bitblast")
 
         return SolverResult(SolverStatus.UNKNOWN, reason="portfolio exhausted")
 
@@ -802,12 +658,6 @@ class PortfolioSolver:
         self.stage_hits[result.reason] = self.stage_hits.get(result.reason, 0) + 1
         if result.is_sat and result.model is None:
             raise AssertionError("SAT result without a model")
-        # Cores are an UNSAT-only, opt-out feature; strip anything a lower
-        # layer attached when the knob is off (or on a non-UNSAT status).
-        if result.unsat_core is not None and not (
-            result.is_unsat and self.config.enable_unsat_cores
-        ):
-            result.unsat_core = None
         return result
 
     @staticmethod
@@ -816,11 +666,7 @@ class PortfolioSolver:
         for constraint in constraints:
             if constraint.kind is TermKind.BOOL_CONST:
                 if not constraint.value:
-                    return SolverResult(
-                        SolverStatus.UNSAT,
-                        reason="simplify",
-                        unsat_core=(constraint,),
-                    )
+                    return SolverResult(SolverStatus.UNSAT, reason="simplify")
             else:
                 all_true = False
         if all_true:
@@ -925,11 +771,6 @@ class SolverSession:
         #: the incremental CDCL decided it, ``False`` when a cheap layer
         #: or one of the fresh-solve fallbacks did.
         self.last_call_tainted = False
-        #: UNSAT core of the most recent complete-backend call, as a subset
-        #: of the conjunct terms that call received (``None`` unless the
-        #: incremental CDCL returned UNSAT with cores enabled).  Read by
-        #: the portfolio right after the call, like ``last_call_tainted``.
-        self.last_call_core: Optional[Tuple[Term, ...]] = None
         self._conjuncts: List[Term] = []
         self._frames: List[int] = []
         self._blaster: Optional[BitBlaster] = None
@@ -974,11 +815,9 @@ class SolverSession:
 
         Parity invariant: the status is identical to what
         :meth:`PortfolioSolver.check` would return for the same conjuncts
-        — only the model may differ.  An UNSAT result carries
-        :attr:`SolverResult.unsat_core` (a subset of
-        :attr:`conjuncts`) when cores are enabled; verdicts the
-        incremental CDCL derives are answered but never stored in the
-        shared cache (they depend on this session's history).
+        — only the model may differ.  Verdicts the incremental CDCL
+        derives are answered but never stored in the shared cache (they
+        depend on this session's history).
         """
         self.check_count += 1
         return self.solver._check_session(self)
@@ -999,7 +838,6 @@ class SolverSession:
         a decidable query to UNKNOWN.
         """
         self.last_call_tainted = False
-        self.last_call_core = None
         if self._width_clash(conjuncts):
             return self.solver._bitblast(conjuncts)
         started = time.perf_counter()
@@ -1007,7 +845,7 @@ class SolverSession:
         try:
             if self._blaster is None:
                 self._blaster = BitBlaster()
-            assumptions, by_literal = self._blaster.assumptions_for(conjuncts)
+            assumptions = self._blaster.assumptions_for(conjuncts)
             if self._cdcl is None:
                 self._cdcl = CDCLSolver(
                     self._blaster.cnf, max_conflicts=config.bitblast_max_conflicts
@@ -1029,15 +867,6 @@ class SolverSession:
         self.last_call_tainted = True
         if result.status == SatStatus.SAT:
             return SatStatus.SAT, self._blaster.extract_model(result)
-        if result.core and config.enable_unsat_cores:
-            # Lift the assumption-literal core back to terms.  A literal
-            # shared by several (hash-consed-identical after blasting)
-            # conjuncts names all of them: asserting a superset of an
-            # unsatisfiable set stays unsatisfiable.
-            lifted: List[Term] = []
-            for literal in result.core:
-                lifted.extend(by_literal.get(literal, ()))
-            self.last_call_core = tuple(dict.fromkeys(lifted))
         return result.status, None
 
     def _width_clash(self, conjuncts: Sequence[Term]) -> bool:

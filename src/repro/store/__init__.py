@@ -1,9 +1,8 @@
 """The unified content-addressed artifact store.
 
 Every persistent artifact the reproduction writes — solver-cache verdicts
-(whole-query and component granularity), canonical UNSAT cores,
-witness-corpus records — goes through one on-disk layer:
-:class:`ArtifactStore`, a content-addressed, append-only record store with
+(whole-query and component granularity) and witness-corpus records —
+goes through one on-disk layer: :class:`ArtifactStore`, a content-addressed, append-only record store with
 a versioned + fingerprint-stamped ``meta.json``, sharded record files
 written with atomic replaces, and an exclusive-lock merge-on-save as the
 *only* save path.  The concrete stores (:mod:`repro.smt.cachestore`,

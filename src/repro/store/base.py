@@ -9,7 +9,7 @@ One :class:`ArtifactStore` owns one directory::
     .lock           (exists only while a save is in flight)
 
 Records are **content-addressed**: each carries a ``kind`` (the codec's
-namespace — solver-cache query, component, UNSAT core, witness) and a
+namespace — solver-cache query, component, witness) and a
 ``key``, the canonical content hash of its payload within that kind
 (:func:`content_key`, or a codec-supplied identity such as a witness
 signature, which is itself a content hash).  Identity lives in
@@ -159,7 +159,8 @@ class ArtifactStore:
         (compared against the stamp in ``meta.json`` after JSON
         normalization, so tuples and lists compare equal).  A corrupt
         shard loses its records, never the store; malformed envelopes are
-        skipped individually.
+        skipped individually.  Both recoveries are counted, as
+        ``store.corrupt_shards`` and ``store.records_dropped``.
         """
         with TRACER.span("store.load", root=self.root):
             records = self._load(fingerprint_wire)
@@ -186,13 +187,16 @@ class ArtifactStore:
             except FileNotFoundError:
                 continue
             except (OSError, json.JSONDecodeError):
-                # One corrupt shard loses its records, not the store.
-                continue
+                envelopes = None
             if not isinstance(envelopes, list):
+                # One corrupt shard loses its records, not the store.
+                METRICS.counter("store.corrupt_shards").inc()
                 continue
             for envelope in envelopes:
                 record = _record_from_envelope(envelope)
-                if record is not None:
+                if record is None:
+                    METRICS.counter("store.records_dropped").inc()
+                else:
                     records.append(record)
         return records
 

@@ -153,6 +153,24 @@ class TestCampaignCommand:
         assert fresh["incremental"] is False
         assert fresh["classifications"] == incremental["classifications"]
 
+    def test_campaign_rejects_the_removed_core_guidance_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--no-core-guidance", "--apps", "vlc"])
+        assert excinfo.value.code == 2
+        assert "--no-core-guidance" in capsys.readouterr().err
+
+    def test_campaign_json_and_text_drop_core_guidance(self, capsys):
+        assert main(["campaign", "--jobs", "1", "--apps", "vlc", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "core_guidance" not in payload
+        assert payload["solver"]["session_checks"] > 0
+        for key in ("cores_extracted", "core_pruned_candidates", "sessions_reused"):
+            assert key not in payload["solver"]
+        assert main(["campaign", "--jobs", "1", "--apps", "vlc"]) == 0
+        out = capsys.readouterr().out
+        assert "cores" not in out.lower()
+        assert "reused" not in out
+
     def test_campaign_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             main(["campaign", "--backend", "gpu"])

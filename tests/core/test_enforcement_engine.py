@@ -1,6 +1,8 @@
 """Tests for the goal-directed enforcement loop and the Diode engine on a
 small synthetic application (fast), exercising every termination mode."""
 
+import dataclasses
+
 import pytest
 
 from repro.apps.appbase import Application, SiteExpectation
@@ -19,7 +21,7 @@ from repro.core.target import extract_target_observations
 from repro.formats.fields import Endianness, FieldKind, FieldSpec
 from repro.formats.spec import FormatSpec
 from repro.lang.program import Program
-from repro.smt.solver import PortfolioSolver
+from repro.smt.solver import PortfolioSolver, SolverConfig
 
 # A miniature application with one site of each classification:
 #  - guarded.c@1   : exposed only after enforcing the two sanity checks
@@ -89,20 +91,30 @@ def mini_app() -> Application:
     )
 
 
-def _run_site(app: Application, tag: str, config: EnforcementConfig | None = None):
+def _observation(app: Application, tag: str):
     sites = identify_target_sites(app.program, app.seed_input)
     site = next(s for s in sites if s.site_tag == tag)
     mapper = FieldMapper(app.format_spec)
-    observation = extract_target_observations(
+    return extract_target_observations(
         app.program, app.seed_input, site, field_mapper=mapper
     )[0]
-    enforcer = GoalDirectedEnforcer(
-        PortfolioSolver(),
+
+
+def _enforcer(
+    app: Application,
+    config: EnforcementConfig | None = None,
+    solver_config: SolverConfig | None = None,
+) -> GoalDirectedEnforcer:
+    return GoalDirectedEnforcer(
+        PortfolioSolver(solver_config),
         InputGenerator(app.seed_input, app.format_spec),
         ErrorDetector(app.program, app.seed_input),
         config,
     )
-    return enforcer.run(observation)
+
+
+def _run_site(app: Application, tag: str, config: EnforcementConfig | None = None):
+    return _enforcer(app, config).run(_observation(app, tag))
 
 
 class TestEnforcementOutcomes:
@@ -227,24 +239,11 @@ class TestIncrementalSessions:
     reference path: identical outcomes, enforced branches and steps."""
 
     def _run_both(self, app, tag):
-        from repro.smt.solver import SolverConfig
-
         fresh_config = SolverConfig(
             enable_sessions=False, enable_decomposition=False
         )
-        incremental = _run_site(app, tag)
-        sites = identify_target_sites(app.program, app.seed_input)
-        site = next(s for s in sites if s.site_tag == tag)
-        mapper = FieldMapper(app.format_spec)
-        observation = extract_target_observations(
-            app.program, app.seed_input, site, field_mapper=mapper
-        )[0]
-        enforcer = GoalDirectedEnforcer(
-            PortfolioSolver(fresh_config),
-            InputGenerator(app.seed_input, app.format_spec),
-            ErrorDetector(app.program, app.seed_input),
-        )
-        return incremental, enforcer.run(observation)
+        fresh = _enforcer(app, solver_config=fresh_config)
+        return _run_site(app, tag), fresh.run(_observation(app, tag))
 
     @pytest.mark.parametrize(
         "tag", ["open.c@2", "guarded.c@1", "capped.c@3", "narrow.c@4"]
@@ -259,8 +258,67 @@ class TestIncrementalSessions:
         ]
 
     def test_default_config_enables_sessions(self):
-        from repro.smt.solver import SolverConfig
-
         config = SolverConfig()
         assert config.enable_sessions
         assert config.enable_decomposition
+
+
+class TestNoCrossObservationState:
+    """An enforcer keeps nothing from one observation to the next, so a
+    rerun of the same observation pays the same solver checks and returns
+    the same result (only the wall time differs)."""
+
+    @pytest.mark.parametrize("sessions", [True, False], ids=["session", "fresh"])
+    @pytest.mark.parametrize(
+        "tag", ["open.c@2", "guarded.c@1", "capped.c@3", "narrow.c@4"]
+    )
+    def test_rerun_repeats_checks_and_result(self, mini_app, tag, sessions):
+        enforcer = _enforcer(
+            mini_app, solver_config=SolverConfig(enable_sessions=sessions)
+        )
+        observation = _observation(mini_app, tag)
+        runs = []
+        for _ in range(2):
+            before = enforcer.solver.query_count
+            result = enforcer.run(observation)
+            checks = enforcer.solver.query_count - before
+            runs.append((checks, dataclasses.replace(result, elapsed_seconds=0.0)))
+        (first_checks, first), (second_checks, second) = runs
+        assert first_checks == second_checks > 0
+        assert first == second
+
+    @pytest.mark.parametrize(
+        "tag", ["open.c@2", "guarded.c@1", "capped.c@3", "narrow.c@4"]
+    )
+    def test_earlier_observations_do_not_change_a_later_one(self, mini_app, tag):
+        """Running every other site's observation first through the same
+        enforcer leaves this site's checks and result as a new enforcer's."""
+        observation = _observation(mini_app, tag)
+        fresh = _enforcer(mini_app)
+        expected = fresh.run(observation)
+        expected_checks = fresh.solver.query_count
+
+        shared = _enforcer(mini_app)
+        for other in ("open.c@2", "guarded.c@1", "capped.c@3", "narrow.c@4"):
+            if other != tag:
+                shared.run(_observation(mini_app, other))
+        before = shared.solver.query_count
+        result = shared.run(observation)
+        assert shared.solver.query_count - before == expected_checks
+        assert dataclasses.replace(result, elapsed_seconds=0.0) == dataclasses.replace(
+            expected, elapsed_seconds=0.0
+        )
+
+    @pytest.mark.parametrize("mode", ["last", "random"])
+    def test_ablation_flip_modes_rerun_identically(self, mini_app, mode):
+        """The ablation selections are deterministic per observation: a
+        rerun enforces the same branches in the same order."""
+        enforcer = _enforcer(mini_app, EnforcementConfig(flip_selection=mode))
+        observation = _observation(mini_app, "guarded.c@1")
+        first = enforcer.run(observation)
+        second = enforcer.run(observation)
+        assert second.outcome is first.outcome
+        assert [branch.label for branch in second.enforced_branches] == [
+            branch.label for branch in first.enforced_branches
+        ]
+        assert second.triggering_input == first.triggering_input

@@ -19,8 +19,6 @@ from repro.smt.cache import CachedVerdict, SolverCache
 from repro.smt.cachestore import (
     FORMAT_VERSION,
     CacheStore,
-    core_from_wire,
-    core_to_wire,
     entry_from_wire,
     entry_to_wire,
     export_wire_entries,
@@ -32,6 +30,7 @@ from repro.smt.cachestore import (
 )
 from repro.smt.evalmodel import Model
 from repro.smt.solver import PortfolioSolver, SolverConfig
+from repro.store import ArtifactStore, StoreRecord, content_key
 
 WIDTH = 8
 VALUE = st.integers(min_value=0, max_value=(1 << WIDTH) - 1)
@@ -149,8 +148,8 @@ _SYSTEMS = [
 
 
 def _total_entries(cache):
-    """Artifacts across all three kinds (query, component, core)."""
-    return len(cache) + cache.component_count() + cache.core_count()
+    """Artifacts across both kinds (query, component)."""
+    return len(cache) + cache.component_count()
 
 
 class TestCacheStoreRoundTrip:
@@ -242,6 +241,33 @@ class TestStoreInvalidation:
         store.save(cache, fingerprint)
         (tmp_path / "meta.json").write_text("][")
         assert store.load(SolverCache(), fingerprint) == 0
+
+    def test_v5_store_with_core_records_is_a_cold_start(self, tmp_path):
+        """Format 5 also persisted canonical UNSAT cores (kind ``core``,
+        wire tag ``"u"``); such a store must load nothing, not half."""
+        fingerprint = SolverConfig().fingerprint()
+        cache, _ = _warmed_cache(_SYSTEMS[:1])
+        records = [
+            StoreRecord(
+                SolverCache.KIND_QUERY,
+                content_key(SolverCache.KIND_QUERY, entry_to_wire(conjuncts, verdict)["c"]),
+                entry_to_wire(conjuncts, verdict),
+            )
+            for _key, conjuncts, verdict in cache.entries_snapshot()
+        ]
+        x = b.bv_var("v000", 8)
+        core = {"k": "u", "c": [term_to_wire(b.ult(x, b.bv_const(3, 8)))]}
+        records.append(StoreRecord("core", content_key("core", core["c"]), core))
+        ArtifactStore(str(tmp_path), version=5).save(
+            fingerprint_to_wire(fingerprint), records
+        )
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["version"] == 5 and meta["kinds"]["core"] == 1
+
+        assert FORMAT_VERSION > 5
+        fresh = SolverCache()
+        assert CacheStore(str(tmp_path)).load(fresh, fingerprint) == 0
+        assert len(fresh) == 0 and fresh.component_count() == 0
 
 
 class TestWireEntryExchange:
@@ -344,25 +370,6 @@ class TestCampaignWarmStart:
         assert (tmp_path / "meta.json").read_bytes() == stamp
 
 
-class TestCoreWire:
-    """Canonical UNSAT cores on the wire (kind ``core``, tag ``"u"``)."""
-
-    @given(system=constraint_systems())
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_reinterns_the_core(self, system):
-        wire = json.loads(json.dumps(core_to_wire(tuple(system))))
-        back = core_from_wire(wire)
-        assert set(back) == set(system)  # hash-consing: identical objects
-
-    def test_wire_is_order_independent(self):
-        """A core is a set; its wire (and so its content key) must not
-        depend on the order the derivation discovered the conjuncts in."""
-        x = b.bv_var("v000", 8)
-        p = b.ult(x, b.bv_const(3, 8))
-        q = b.ugt(x, b.bv_const(250, 8))
-        assert core_to_wire((p, q)) == core_to_wire((q, p))
-
-
 def _synthetic_entries(cache, fingerprint, count, offset=0):
     """Populate ``cache`` with ``count`` distinct single-conjunct verdicts."""
     x = b.bv_var("v000", 16)
@@ -376,31 +383,6 @@ def _synthetic_entries(cache, fingerprint, count, offset=0):
                 reason="synthetic",
             ),
         )
-
-
-class TestCorePersistence:
-    def test_core_roundtrips_through_the_store(self, tmp_path):
-        fingerprint = SolverConfig().fingerprint()
-        cache = SolverCache()
-        x = b.bv_var("v000", 8)
-        core = (b.ult(x, b.bv_const(3, 8)), b.ugt(x, b.bv_const(250, 8)))
-        assert cache.add_core(fingerprint, core)
-        store = CacheStore(str(tmp_path))
-        assert store.save(cache, fingerprint) == 1
-
-        fresh = SolverCache()
-        assert store.load(fresh, fingerprint) == 1
-        assert fresh.core_count() == 1
-        [(back_fingerprint, back_core)] = fresh.cores_snapshot()
-        assert back_fingerprint == fingerprint
-        assert set(back_core) == set(core)
-
-    def test_foreign_fingerprint_cores_are_not_saved(self, tmp_path):
-        fingerprint = SolverConfig().fingerprint()
-        cache = SolverCache()
-        x = b.bv_var("v000", 8)
-        cache.add_core(("other-config",), (b.ult(x, b.bv_const(1, 8)),))
-        assert CacheStore(str(tmp_path)).save(cache, fingerprint) == 0
 
 
 class TestShardLayoutChanges:

@@ -176,13 +176,47 @@ class TestGateEncodings:
             assert model[carry] == bool(value & 2)
         assert len(seen) == 8  # every input combination stays satisfiable
 
-    def test_empty_clause_is_unsat_with_an_empty_core(self):
+    def test_empty_clause_is_unsat_under_assumptions(self):
         cnf = CNF()
         x = cnf.new_var()
         cnf.add_clause(())
         result = CDCLSolver(cnf).solve(assumptions=[x])
         assert result.status == SatStatus.UNSAT
-        assert not result.core
+
+
+class TestAssumptions:
+    """Per-call assumption literals: statuses, and no lasting effect."""
+
+    def _implication_cnf(self):
+        """x -> y, z -> -y: assuming x and z together is contradictory."""
+        cnf = CNF()
+        x, y, z, w = (cnf.new_var() for _ in range(4))
+        cnf.add_clause([-x, y])
+        cnf.add_clause([-z, -y])
+        return cnf, (x, y, z, w)
+
+    def test_contradictory_assumptions_are_unsat_and_do_not_persist(self):
+        cnf, (x, _y, z, w) = self._implication_cnf()
+        solver = CDCLSolver(cnf)
+        assert solver.solve(assumptions=[x, w, z]).status == SatStatus.UNSAT
+        # The same solver answers a compatible subset SAT on the next call.
+        result = solver.solve(assumptions=[x, w])
+        assert result.status == SatStatus.SAT
+        assert result.assignment[x] and result.assignment[w]
+
+    def test_directly_conflicting_assumptions_are_unsat(self):
+        cnf = CNF()
+        x = cnf.new_var()
+        cnf.add_clause([x, -x])  # tautology; the conflict is assumptions-only
+        assert CDCLSolver(cnf).solve(assumptions=[x, -x]).status == SatStatus.UNSAT
+
+    def test_formula_level_unsat_stays_unsat_under_assumptions(self):
+        cnf = CNF()
+        x = cnf.new_var()
+        cnf.add_unit(x)
+        cnf.add_unit(-x)
+        result = CDCLSolver(cnf).solve(assumptions=[cnf.new_var()])
+        assert result.status == SatStatus.UNSAT
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.smt.cache import (
 )
 from repro.smt.evalmodel import evaluate, satisfies
 from repro.smt.simplify import simplify
-from repro.smt.solver import PortfolioSolver, SolverStatus
+from repro.smt.solver import PortfolioSolver, SolverConfig, SolverStatus
 from repro.smt.terms import Term
 
 WIDTH = 8
@@ -188,6 +188,11 @@ class TestCanonicalization:
             cache.canonicalize([first, second], fingerprint=()).key
             != cache.canonicalize([second, first], fingerprint=()).key
         )
+
+    def test_incremental_knobs_are_fingerprinted(self):
+        base = SolverConfig().fingerprint()
+        assert SolverConfig(enable_sessions=False).fingerprint() != base
+        assert SolverConfig(enable_decomposition=False).fingerprint() != base
 
     def test_fingerprint_separates_solver_configurations(self):
         cache = SolverCache()
@@ -365,6 +370,24 @@ class TestCacheStore:
         assert cache.stats.invalid_hits == 1
         assert cache.stats.lookups == 15
         assert cache.stats.hit_rate() == pytest.approx(10 / 15)
+
+    def test_stats_snapshot_folds_back_field_for_field(self):
+        """A worker's snapshot tuple has exactly the width the process
+        backend ships, and folding it into an empty cache reproduces it."""
+        from repro.sched import process
+
+        cache = SolverCache()
+        solver = PortfolioSolver(cache=cache)
+        x, y = b.bv_var("x", WIDTH), b.bv_var("y", WIDTH)
+        system = [b.ult(x, b.bv_const(9, WIDTH)), b.ugt(y, b.bv_const(2, WIDTH))]
+        solver.check(system)
+        solver.check(system)
+        snapshot = cache.stats_snapshot()
+        assert len(snapshot) == SolverCache.STATS_FIELDS == process._STATS_FIELDS
+        assert snapshot[0] >= 1 and snapshot[4] + snapshot[6] >= 1
+        folded = SolverCache()
+        folded.add_external_stats(*snapshot)
+        assert folded.stats_snapshot() == snapshot
 
     def test_concurrent_queries_are_consistent(self):
         cache = SolverCache()

@@ -1,11 +1,11 @@
 """The unified store layer: content addressing, merge-on-save, locking.
 
-Every persistent artifact in the system (solver-cache verdicts, UNSAT
-cores, witness records) rides on this layer, so its
-contract is tested directly: records survive round trips, concurrent
-saves take the union, stamps invalidate cold, orphaned shard files never
-resurrect, and the save lock is exclusive yet recoverable when its
-holder dies.
+Every persistent artifact in the system (solver-cache verdicts, witness
+records) rides on this layer, so its contract is tested directly: records
+survive round trips, concurrent saves take the union, stamps invalidate
+cold, corruption is counted and loses at most one shard, orphaned shard
+files never resurrect, and the save lock is exclusive yet recoverable
+when its holder dies.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.obs.metrics import METRICS
 from repro.store import ArtifactStore, DirectoryLock, StoreRecord, content_key
 from repro.store.locking import DEFAULT_TIMEOUT_SECONDS
 
@@ -30,6 +31,14 @@ def _store(tmp_path, **kwargs):
 
 def _record(kind, payload):
     return StoreRecord(kind, content_key(kind, payload), payload)
+
+
+def _recoveries():
+    """Current ``(store.corrupt_shards, store.records_dropped)`` counters."""
+    return (
+        METRICS.counter("store.corrupt_shards").value,
+        METRICS.counter("store.records_dropped").value,
+    )
 
 
 class TestContentKey:
@@ -163,6 +172,32 @@ class TestInvalidation:
         )
         shard.write_text(json.dumps(envelopes))
         assert len(store.load(FP)) == 1
+
+    def test_recoveries_are_counted(self, tmp_path):
+        store = _store(tmp_path, shard_count=4)
+        records = [_record("alpha", i) for i in range(16)]
+        store.save(FP, records)
+        truncated, tampered = sorted(tmp_path.glob("shard-*.json"))[:2]
+        text = truncated.read_text()
+        lost = len(json.loads(text))
+        truncated.write_text(text[: len(text) // 2])
+        envelopes = json.loads(tampered.read_text())
+        del envelopes[0]["h"]
+        tampered.write_text(json.dumps(envelopes))
+
+        before = _recoveries()
+        loaded = store.load(FP)
+        after = _recoveries()
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+        assert len(loaded) == len(records) - lost - 1
+        assert {r.payload for r in loaded} < {r.payload for r in records}
+
+    def test_clean_load_counts_no_recoveries(self, tmp_path):
+        store = _store(tmp_path, shard_count=4)
+        store.save(FP, [_record("alpha", i) for i in range(16)])
+        before = _recoveries()
+        assert len(store.load(FP)) == 16
+        assert _recoveries() == before
 
 
 class TestOrphanedShards:
