@@ -1,34 +1,24 @@
-"""Incremental-solving benchmark: sessions, decomposition, component cache.
+"""Solver benchmark: incremental sessions and the flattened CDCL core.
 
-Three workloads back the acceptance bar of the incremental solving stack
-(PR 3), each comparing the *fresh-query* reference path (sessions and
-decomposition disabled — every query re-simplified, re-blasted and solved
-from scratch) against the *incremental* path (solver sessions with a
-persistent bit-blaster, assumption-based CDCL with learned-clause
-retention, connected-component decomposition and the component-granularity
-cache):
+Two workloads:
 
-1. **Registry parity** — the full registry campaign, default
-   configuration.  The hard invariant: the incremental path produces
-   byte-identical site classifications.  Enforced, not observed.
-2. **Enforcement chains** — growing constraint chains shaped exactly like
+1. **Enforcement chains** — growing constraint chains shaped exactly like
    the enforcement loop's query sequence (an overflow target constraint β,
    then one appended sanity-check constraint per iteration, ending in
-   checks that only the complete backend can decide).  The incremental arm
-   must finish with *lower total CDCL conflicts* and *lower bit-blast/CDCL
-   time* than the fresh arm, with identical per-check statuses.
-3. **Sibling-site screening** — multi-site feasibility conjunctions built
-   from the registry's real per-site target constraints.  Different sites
-   constrain different input fields, so these queries decompose; the
-   incremental arm must answer some components from the component cache
-   (``component hits > 0``) while returning identical statuses.
-
-A fourth workload rides the same harness: the **propagation loop**
-before/after comparison — the CDCL-bound chain queries solved on
-the legacy hot path (:func:`repro.smt.hotpath.legacy_hot_path`: object
-CDCL, recursive evaluation, unhashed gates) versus the flattened one,
-with per-arm ``propagations``/``sat_decisions`` telemetry in the
-artifact.
+   checks that only the complete backend can decide).  The *fresh* arm
+   re-solves every growing conjunction with a one-shot
+   :meth:`PortfolioSolver.check` (re-simplified, re-blasted, solved from
+   scratch); the *incremental* arm pushes one delta per iteration onto a
+   :class:`SolverSession` (persistent bit-blaster, assumption-based CDCL
+   with learned-clause retention).  The incremental arm must finish with
+   *lower total CDCL conflicts* and *lower bit-blast/CDCL time*, with
+   identical per-check statuses.
+2. **Propagation loop** — the CDCL-bound chain queries solved on the
+   legacy hot path (:func:`repro.smt.hotpath.legacy_hot_path`: object
+   CDCL, recursive evaluation, unhashed gates) versus the flattened one,
+   with per-arm ``propagations``/``sat_decisions`` telemetry in the
+   artifact.  Identical statuses, and the flat arm strictly faster on
+   bit-blast/CDCL time.
 
 Emits a machine-readable ``BENCH_solver.json`` artifact; set
 ``BENCH_ARTIFACT_DIR`` to redirect it.  Standalone::
@@ -40,25 +30,19 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import pytest
 
 from bench_campaign import write_artifact
 from repro import __version__
-from repro.apps import all_applications
-from repro.core.campaign import CampaignConfig, run_campaign
-from repro.core.fieldmap import FieldMapper
-from repro.core.overflow import overflow_constraint
-from repro.core.sites import identify_target_sites
-from repro.core.target import extract_target_observations
 from repro.smt import builder as b
 from repro.smt.cache import SolverCache
 from repro.smt.sampler import SamplerConfig
 from repro.smt.solver import TELEMETRY, PortfolioSolver, SolverConfig
 
-#: Number of alpha/constant-varied enforcement chains in workload 2.
+#: Number of alpha/constant-varied enforcement chains in workload 1.
 CHAIN_COUNT = 4
 
 
@@ -67,13 +51,12 @@ CHAIN_COUNT = 4
 # ----------------------------------------------------------------------
 @dataclass
 class ArmMeasurement:
-    """One arm (fresh or incremental) of a workload."""
+    """One arm of a workload (fresh/incremental, or legacy/flat)."""
 
     label: str
     wall_seconds: float
     statuses: List[str]
     telemetry: Dict[str, float]
-    cache_stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def conflicts(self) -> int:
@@ -84,40 +67,22 @@ class ArmMeasurement:
         return float(self.telemetry["bitblast_seconds"])
 
 
-def _solver_config(incremental: bool, **overrides) -> SolverConfig:
-    config = SolverConfig(
-        enable_sessions=incremental,
-        enable_decomposition=incremental,
-        **overrides,
+def _stress_config() -> SolverConfig:
+    """Tiny incomplete-layer budgets: route the chains to the CDCL backend."""
+    return SolverConfig(
+        sampler=SamplerConfig(
+            random_attempts_per_sample=3,
+            hill_climb_steps=2,
+            perturbation_attempts=2,
+            seed=0,
+        ),
+        heuristic_max_checks=4,
+        bitblast_max_conflicts=100_000,
     )
-    return config
 
 
 # ----------------------------------------------------------------------
-# Workload 1: full-registry classification parity
-# ----------------------------------------------------------------------
-def run_registry_parity() -> Tuple[dict, dict, bool]:
-    """Serial campaign over the whole registry, incremental vs fresh."""
-
-    def classifications(incremental: bool):
-        config = CampaignConfig(jobs=1, backend="serial")
-        config.diode.solver.enable_sessions = incremental
-        config.diode.solver.enable_decomposition = incremental
-        started = time.perf_counter()
-        result = run_campaign(config)
-        return {
-            "wall_seconds": round(time.perf_counter() - started, 4),
-            "classifications": result.classifications(),
-        }
-
-    fresh = classifications(False)
-    incremental = classifications(True)
-    parity = fresh["classifications"] == incremental["classifications"]
-    return fresh, incremental, parity
-
-
-# ----------------------------------------------------------------------
-# Workload 2: enforcement-shaped chains through the complete backend
+# Workload 1: enforcement-shaped chains through the complete backend
 # ----------------------------------------------------------------------
 def _enforcement_chain(variant: int):
     """One β + appended-sanity-check chain, like the enforcement loop's.
@@ -152,19 +117,8 @@ def _enforcement_chain(variant: int):
 
 def run_enforcement_chains(incremental: bool) -> ArmMeasurement:
     """Replay the chains through one arm; returns per-arm measurements."""
-    config = _solver_config(
-        incremental,
-        sampler=SamplerConfig(
-            random_attempts_per_sample=3,
-            hill_climb_steps=2,
-            perturbation_attempts=2,
-            seed=0,
-        ),
-        heuristic_max_checks=4,
-        bitblast_max_conflicts=100_000,
-    )
     cache = SolverCache()
-    solver = PortfolioSolver(config, cache=cache)
+    solver = PortfolioSolver(_stress_config(), cache=cache)
     statuses: List[str] = []
     TELEMETRY.reset()
     started = time.perf_counter()
@@ -188,75 +142,11 @@ def run_enforcement_chains(incremental: bool) -> ArmMeasurement:
         wall_seconds=time.perf_counter() - started,
         statuses=statuses,
         telemetry=TELEMETRY.snapshot(),
-        cache_stats=cache.stats.as_dict(),
     )
 
 
 # ----------------------------------------------------------------------
-# Workload 3: sibling-site screening over real registry constraints
-# ----------------------------------------------------------------------
-def _registry_betas():
-    """Per-application lists of the real per-site target constraints."""
-    per_app = []
-    for app in all_applications():
-        mapper = FieldMapper(app.format_spec)
-        betas = []
-        for site in identify_target_sites(app.program, app.seed_input):
-            observations = extract_target_observations(
-                app.program,
-                app.seed_input,
-                site,
-                field_mapper=mapper,
-                max_observations=1,
-            )
-            if observations and observations[0].size_expression is not None:
-                betas.append(
-                    overflow_constraint(observations[0].size_expression)
-                )
-        per_app.append(betas)
-    return per_app
-
-
-def run_screening(incremental: bool) -> ArmMeasurement:
-    """Screen each application's sites jointly: can overflows co-trigger?
-
-    The conjunction grows one site's β at a time (infeasible additions are
-    dropped), so successive queries share every previously admitted site's
-    component — the component cache's designed case.
-    """
-    config = _solver_config(incremental)
-    cache = SolverCache()
-    statuses: List[str] = []
-    TELEMETRY.reset()
-    started = time.perf_counter()
-    for betas in _registry_betas():
-        solver = PortfolioSolver(config, cache=cache)
-        if incremental:
-            session = solver.open_session()
-            for beta in betas:
-                session.push(beta)
-                result = session.check()
-                statuses.append(result.status)
-                if not result.is_sat:
-                    session.pop()
-        else:
-            admitted: List = []
-            for beta in betas:
-                result = solver.check(admitted + [beta])
-                statuses.append(result.status)
-                if result.is_sat:
-                    admitted.append(beta)
-    return ArmMeasurement(
-        label="incremental" if incremental else "fresh",
-        wall_seconds=time.perf_counter() - started,
-        statuses=statuses,
-        telemetry=TELEMETRY.snapshot(),
-        cache_stats=cache.stats.as_dict(),
-    )
-
-
-# ----------------------------------------------------------------------
-# Workload 4: flattened propagation loop vs the legacy hot path
+# Workload 2: flattened propagation loop vs the legacy hot path
 # ----------------------------------------------------------------------
 def run_hotpath_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
     """Before/after arms of the solving hot-path flattening.
@@ -272,17 +162,7 @@ def run_hotpath_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
     """
     from repro.smt.hotpath import legacy_hot_path
 
-    config = _solver_config(
-        False,
-        sampler=SamplerConfig(
-            random_attempts_per_sample=3,
-            hill_climb_steps=2,
-            perturbation_attempts=2,
-            seed=0,
-        ),
-        heuristic_max_checks=4,
-        bitblast_max_conflicts=100_000,
-    )
+    config = _stress_config()
     systems = []
     for variant in range(CHAIN_COUNT):
         beta, deltas = _enforcement_chain(variant)
@@ -314,7 +194,6 @@ def run_hotpath_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
             wall_seconds=time.perf_counter() - started,
             statuses=statuses,
             telemetry=TELEMETRY.snapshot(),
-            cache_stats=cache.stats.as_dict(),
         )
 
     with legacy_hot_path():
@@ -327,24 +206,13 @@ def run_hotpath_arms() -> Tuple[ArmMeasurement, ArmMeasurement]:
 # Reporting and gates
 # ----------------------------------------------------------------------
 def print_chains(fresh: ArmMeasurement, incremental: ArmMeasurement) -> None:
-    print("\n=== Enforcement chains: fresh re-solve vs incremental session ===")
+    print("\n=== Enforcement chains: one-shot check vs incremental session ===")
     for arm in (fresh, incremental):
         print(
             f"{arm.label:12s}: {arm.wall_seconds:6.3f}s wall, "
             f"{arm.bitblast_seconds:6.3f}s bitblast/CDCL, "
             f"{arm.conflicts} conflicts, "
             f"{int(arm.telemetry['bitblast_calls'])} complete-backend calls"
-        )
-    print(f"statuses equal     : {fresh.statuses == incremental.statuses}")
-
-
-def print_screening(fresh: ArmMeasurement, incremental: ArmMeasurement) -> None:
-    print("\n=== Sibling-site screening: whole-query vs component cache ===")
-    for arm in (fresh, incremental):
-        print(
-            f"{arm.label:12s}: {arm.wall_seconds:6.3f}s wall, "
-            f"component hits {int(arm.cache_stats['component_hits'])} "
-            f"({arm.cache_stats['component_hit_rate']:.1%} of component lookups)"
         )
     print(f"statuses equal     : {fresh.statuses == incremental.statuses}")
 
@@ -365,13 +233,8 @@ def print_hotpath(legacy: ArmMeasurement, flat: ArmMeasurement) -> None:
 
 
 def artifact_payload(
-    parity: bool,
-    registry_fresh: dict,
-    registry_incremental: dict,
     chain_fresh: ArmMeasurement,
     chain_incremental: ArmMeasurement,
-    screen_fresh: ArmMeasurement,
-    screen_incremental: ArmMeasurement,
     hotpath_legacy: ArmMeasurement,
     hotpath_flat: ArmMeasurement,
 ) -> dict:
@@ -381,9 +244,6 @@ def artifact_payload(
             "bitblast_seconds": round(measurement.bitblast_seconds, 4),
             "cdcl_conflicts": measurement.conflicts,
             "bitblast_calls": int(measurement.telemetry["bitblast_calls"]),
-            "component_hits": int(
-                measurement.cache_stats.get("component_hits", 0)
-            ),
             "propagations": int(measurement.telemetry.get("propagations", 0)),
             "sat_decisions": int(
                 measurement.telemetry.get("sat_decisions", 0)
@@ -393,20 +253,10 @@ def artifact_payload(
     return {
         "benchmark": "solver",
         "version": __version__,
-        "registry_parity": parity,
-        "registry": {
-            "fresh_wall_seconds": registry_fresh["wall_seconds"],
-            "incremental_wall_seconds": registry_incremental["wall_seconds"],
-        },
         "enforcement_chains": {
             "fresh": arm(chain_fresh),
             "incremental": arm(chain_incremental),
             "statuses_equal": chain_fresh.statuses == chain_incremental.statuses,
-        },
-        "screening": {
-            "fresh": arm(screen_fresh),
-            "incremental": arm(screen_incremental),
-            "statuses_equal": screen_fresh.statuses == screen_incremental.statuses,
         },
         "propagation_loop": {
             "legacy": arm(hotpath_legacy),
@@ -422,23 +272,14 @@ def artifact_payload(
 
 
 def _gate_failures(
-    parity: bool,
     chain_fresh: ArmMeasurement,
     chain_incremental: ArmMeasurement,
-    screen_fresh: ArmMeasurement,
-    screen_incremental: ArmMeasurement,
     hotpath_legacy: ArmMeasurement,
     hotpath_flat: ArmMeasurement,
 ) -> List[str]:
     failures = []
-    if not parity:
-        failures.append(
-            "incremental registry classifications diverge from the fresh path"
-        )
     if chain_fresh.statuses != chain_incremental.statuses:
         failures.append("enforcement-chain statuses diverge between arms")
-    if screen_fresh.statuses != screen_incremental.statuses:
-        failures.append("screening statuses diverge between arms")
     if chain_incremental.conflicts >= chain_fresh.conflicts:
         failures.append(
             f"incremental CDCL conflicts {chain_incremental.conflicts} not below "
@@ -449,8 +290,6 @@ def _gate_failures(
             f"incremental bitblast/CDCL time {chain_incremental.bitblast_seconds:.3f}s "
             f"not below fresh {chain_fresh.bitblast_seconds:.3f}s"
         )
-    if screen_incremental.cache_stats.get("component_hits", 0) <= 0:
-        failures.append("screening produced no component-cache hits")
     if hotpath_legacy.statuses != hotpath_flat.statuses:
         failures.append(
             "propagation-loop statuses diverge between legacy and flat arms"
@@ -469,15 +308,6 @@ def _gate_failures(
 # pytest twins
 # ----------------------------------------------------------------------
 @pytest.mark.benchmark(group="solver")
-def test_incremental_registry_parity(benchmark):
-    """Byte-identical site classifications, incremental vs fresh."""
-    fresh, incremental, parity = benchmark.pedantic(
-        run_registry_parity, rounds=1, iterations=1
-    )
-    assert parity
-
-
-@pytest.mark.benchmark(group="solver")
 def test_enforcement_chains_incremental_wins(benchmark):
     """Sessions beat fresh re-solving on conflicts and bitblast time."""
 
@@ -489,19 +319,6 @@ def test_enforcement_chains_incremental_wins(benchmark):
     assert fresh.statuses == incremental.statuses
     assert incremental.conflicts < fresh.conflicts
     assert incremental.bitblast_seconds < fresh.bitblast_seconds
-
-
-@pytest.mark.benchmark(group="solver")
-def test_screening_hits_the_component_cache(benchmark):
-    """Multi-site screening reuses component verdicts across queries."""
-
-    def both():
-        return run_screening(False), run_screening(True)
-
-    fresh, incremental = benchmark.pedantic(both, rounds=1, iterations=1)
-    print_screening(fresh, incremental)
-    assert fresh.statuses == incremental.statuses
-    assert incremental.cache_stats["component_hits"] > 0
 
 
 @pytest.mark.benchmark(group="solver")
@@ -519,50 +336,18 @@ def test_flattened_hot_path_beats_the_legacy_arm(benchmark):
 # Standalone entry point (the CI gate)
 # ----------------------------------------------------------------------
 def main() -> int:
-    registry_fresh, registry_incremental, parity = run_registry_parity()
-    print("=== Registry campaign: classification parity ===")
-    print(
-        f"fresh       : {registry_fresh['wall_seconds']:.3f}s, "
-        f"incremental : {registry_incremental['wall_seconds']:.3f}s, "
-        f"parity={'yes' if parity else 'NO'}"
-    )
-
     chain_fresh = run_enforcement_chains(False)
     chain_incremental = run_enforcement_chains(True)
     print_chains(chain_fresh, chain_incremental)
 
-    screen_fresh = run_screening(False)
-    screen_incremental = run_screening(True)
-    print_screening(screen_fresh, screen_incremental)
-
     hotpath_legacy, hotpath_flat = run_hotpath_arms()
     print_hotpath(hotpath_legacy, hotpath_flat)
 
-    path = write_artifact(
-        artifact_payload(
-            parity,
-            registry_fresh,
-            registry_incremental,
-            chain_fresh,
-            chain_incremental,
-            screen_fresh,
-            screen_incremental,
-            hotpath_legacy,
-            hotpath_flat,
-        ),
-        name="BENCH_solver.json",
-    )
+    measurements = (chain_fresh, chain_incremental, hotpath_legacy, hotpath_flat)
+    path = write_artifact(artifact_payload(*measurements), name="BENCH_solver.json")
     print(f"\nartifact written: {path}")
 
-    failures = _gate_failures(
-        parity,
-        chain_fresh,
-        chain_incremental,
-        screen_fresh,
-        screen_incremental,
-        hotpath_legacy,
-        hotpath_flat,
-    )
+    failures = _gate_failures(*measurements)
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:

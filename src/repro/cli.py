@@ -231,9 +231,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         watchdog=args.watchdog,
         progress=args.progress,
     )
-    if args.no_incremental:
-        config.diode.solver.enable_sessions = False
-        config.diode.solver.enable_decomposition = False
     result = CampaignEngine(config).run()
 
     if args.json:
@@ -241,7 +238,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "version": __version__,
             "backend": result.backend,
             "jobs": result.jobs,
-            "incremental": not args.no_incremental,
             "cache_enabled": result.cache_enabled,
             "unit_count": result.unit_count,
             "wall_seconds": round(result.wall_seconds, 3),
@@ -785,16 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the shared solver-result cache and simplify memo",
-    )
-    campaign.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help=(
-            "disable incremental solver sessions and query decomposition "
-            "(the fresh-query reference path; classification parity with "
-            "the incremental default is enforced by the test and benchmark "
-            "gates)"
-        ),
     )
     campaign.add_argument(
         "--cache-dir",

@@ -9,11 +9,10 @@ in-process cache) or ``process`` (real CPU parallelism over a process
 pool, with per-worker caches merged back into the parent).  Every unit's
 solver is backed by a shared :class:`~repro.smt.cache.SolverCache` plus
 the persistent simplification memo, so enforcement iterations and sibling
-sites stop re-deriving work.  Units solve incrementally by default
-(:class:`~repro.smt.solver.SolverSession` per observation, query
-decomposition, component-granularity caching); the cache carries verdicts
-at both whole-query and component granularity through every backend —
-the process backend ships both as tagged wire-format deltas.
+sites stop re-deriving work.  Units solve incrementally (one
+:class:`~repro.smt.solver.SolverSession` per observation); the cache
+carries whole-query verdicts through every backend — the process backend
+ships them as wire-format deltas.
 
 With a ``cache_dir``, the campaign also warm-starts across runs: the
 solver cache is loaded from a persistent

@@ -17,13 +17,11 @@ Enforcing only first-flipped branches is the paper's key idea: the candidate
 is forced through the sanity checks it actually failed while remaining free
 to take any path through the blocking checks.
 
-Solver interaction is *incremental* when the solver configuration enables
-sessions (the default): each observation drives its own
+Solver interaction is *incremental*: each observation drives its own
 :class:`~repro.smt.solver.SolverSession`, pushes the target constraint β
 once, then pushes one branch-constraint delta per iteration instead of
 rebuilding (and re-simplifying, re-splitting, re-blasting) the whole
-conjunction list every time.  Classification parity with the fresh-query
-path is the invariant either way.
+conjunction list every time.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from repro.obs.trace import TRACER
 from repro.smt import builder as smt
 # Unused here; bound so perfbench/layers.py can wrap ``simplify`` by name.
 from repro.smt.simplify import simplify  # noqa: F401
-from repro.smt.solver import PortfolioSolver, SolverResult, SolverSession
+from repro.smt.solver import PortfolioSolver
 from repro.smt.terms import Term
 
 
@@ -124,7 +122,7 @@ class GoalDirectedEnforcer:
 
     One enforcer serves one target site (``analyze_site`` constructs one
     per site) and keeps no state from one observation to the next: each
-    :meth:`run` opens its own solver session or takes the fresh path.
+    :meth:`run` opens its own solver session.
     """
 
     def __init__(
@@ -170,14 +168,11 @@ class GoalDirectedEnforcer:
 
         # One incremental session per observation: β is pushed once, each
         # iteration pushes only its branch-constraint delta.
-        session = (
-            self.solver.open_session() if self.solver.config.enable_sessions else None
-        )
+        session = self.solver.open_session()
 
         # Step 1: solve the target constraint alone.
-        if session is not None:
-            session.push(beta)
-        solver_result = self._check(session, [beta])
+        session.push(beta)
+        solver_result = session.check()
         if solver_result.is_unsat:
             result.outcome = EnforcementOutcome.TARGET_UNSATISFIABLE
             return self._finish(result, started)
@@ -227,12 +222,8 @@ class GoalDirectedEnforcer:
 
             enforced.append(flipped)
             result.enforced_branches = list(enforced)
-            if session is not None:
-                session.push(flipped.condition)
-                constraints = []
-            else:
-                constraints = [beta] + [b.condition for b in enforced]
-            solver_result = self._check(session, constraints)
+            session.push(flipped.condition)
+            solver_result = session.check()
             if solver_result.is_unsat:
                 result.outcome = EnforcementOutcome.CONSTRAINTS_UNSATISFIABLE
                 result.steps.append(
@@ -268,16 +259,6 @@ class GoalDirectedEnforcer:
 
         result.outcome = EnforcementOutcome.ITERATION_LIMIT
         return self._finish(result, started)
-
-    # ------------------------------------------------------------------
-    def _check(
-        self, session: Optional[SolverSession], constraints: Sequence[Term]
-    ) -> SolverResult:
-        """Decide the current conjunction: the session's stack, or
-        ``constraints`` on the fresh path."""
-        if session is not None:
-            return session.check()
-        return self.solver.check(constraints)
 
     # ------------------------------------------------------------------
     def _select_flipped(

@@ -86,15 +86,13 @@ def analyze_site(
     out across an execution backend's workers — threads or whole processes
     (:mod:`repro.sched`); :class:`Diode` runs them serially.
 
-    Solving is incremental by default: the enforcer drives a
+    Solving is incremental: the enforcer drives a
     :class:`~repro.smt.solver.SolverSession` per observation (constraint
-    deltas instead of rebuilt conjunction lists), queries decompose into
-    independent connected components, and the shared cache answers at both
-    whole-query and component granularity.  Disable via
-    ``config.solver.enable_sessions`` / ``enable_decomposition`` —
-    classification parity between the two paths is enforced by the parity
-    tests and ``bench_solver.py`` (in principle only a timeout landing on
-    a different side of the CDCL conflict budget could ever differ; see
+    deltas instead of rebuilt conjunction lists), and the optional shared
+    cache answers whole queries.  A session check returns the same status
+    as a one-shot :meth:`~repro.smt.solver.PortfolioSolver.check` of the
+    same conjunction (in principle only a timeout landing on a different
+    side of the CDCL conflict budget could differ; see
     :class:`~repro.smt.solver.SolverSession`).
     """
     config = config or DiodeConfig()

@@ -60,7 +60,6 @@ from repro.smt.builder import (
     implies,
 )
 from repro.smt.cache import SolverCache, SolverCacheStats, simplify_memo
-from repro.smt.decompose import Component, compose_models, decompose
 from repro.smt.evalmodel import Model, evaluate
 from repro.smt.simplify import simplify
 from repro.smt.interval import Interval, interval_of, propagate_intervals
@@ -129,7 +128,4 @@ __all__ = [
     "SolverCache",
     "SolverCacheStats",
     "simplify_memo",
-    "Component",
-    "compose_models",
-    "decompose",
 ]

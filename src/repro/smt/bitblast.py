@@ -16,7 +16,7 @@ memoized on canonically-ordered operand literal pairs (with constant
 folding and negation-aware normalisation — OR is encoded as a negated AND
 via De Morgan so both kinds share one cache, XOR strips operand signs and
 re-applies them to the output, MUX folds a negated condition into a branch
-swap).  Shared subterms across a component's conjuncts therefore encode
+swap).  Shared subterms across a query's conjuncts therefore encode
 once: fewer variables and clauses reach the SAT core, while
 :meth:`BitBlaster.extract_model` reads back the same models.  The
 ``STRUCTURAL_HASHING`` module flag exists only so the legacy benchmark arm
@@ -69,10 +69,10 @@ class BitBlaster:
         self.cnf.add_unit(self.literal_for(constraint))
 
     def assert_all(self, conjuncts) -> None:
-        """Batch-assert a component's conjunct list in one pass.
+        """Batch-assert a query's conjunct list in one pass.
 
         All conjuncts are translated before any unit is asserted, so shared
-        subterms across the component encode once through the structural
+        subterms across the query encode once through the structural
         gate caches and the resulting CNF is identical regardless of how
         callers chunk the conjunct list.
         """
@@ -80,7 +80,11 @@ class BitBlaster:
             self.cnf.add_unit(literal)
 
     def literals_for(self, conjuncts) -> List[int]:
-        """Translate a conjunct list (without asserting) in one pass."""
+        """Translate a conjunct list (without asserting) in one pass.
+
+        One literal per conjunct, in order: a solver session passes them
+        to :meth:`CDCLSolver.solve` as assumptions.
+        """
         return [self.literal_for(conjunct) for conjunct in conjuncts]
 
     def literal_for(self, constraint: Term) -> int:
@@ -96,11 +100,6 @@ class BitBlaster:
         if not constraint.is_bool:
             raise BitBlastError("can only assert boolean terms")
         return self.blast_bool(constraint)
-
-    def assumptions_for(self, conjuncts) -> List[int]:
-        """One assumption literal per conjunct, in order (for
-        :meth:`CDCLSolver.solve` assumptions)."""
-        return [self.literal_for(conjunct) for conjunct in conjuncts]
 
     def variable_bits(self) -> Dict[str, List[int]]:
         """CNF literals allocated for each bitvector variable (LSB first)."""

@@ -25,14 +25,6 @@ the answer every caller receives is a pure function of the canonical system
 arrived first.  SAT models are translated back through the renaming and
 verified against the caller's actual conjuncts before being returned.
 
-Verdicts are stored at two granularities.  The *whole-query* table keys on
-the full canonical conjunct list; underneath it, the *component* table keys
-on the canonical form of one connected component of the variable-sharing
-graph (see :mod:`repro.smt.decompose`).  A component shared by two
-different whole queries — sibling sites, successive enforcement
-iterations, multi-site screening conjunctions — hits in the component
-table even though the whole-query keys differ.
-
 The module also owns the persistent simplification memo
 (:func:`enable_simplify_memo`): simplification is a pure function of an
 interned term, so memoizing it across the whole campaign removes the single
@@ -91,9 +83,7 @@ class SolverCacheStats:
     """Hit/miss counters for one :class:`SolverCache`.
 
     ``hits``/``misses``/``stores``/``invalid_hits`` count this cache's own
-    whole-query lookups and stores; ``component_*`` count the
-    component-granularity layer underneath (consulted only after a
-    whole-query miss); ``merged`` counts entries adopted wholesale from
+    lookups and stores; ``merged`` counts entries adopted wholesale from
     elsewhere (a persistent on-disk store, a worker process's delta), and
     ``evictions`` counts entries dropped by the ``max_entries`` bound.
     """
@@ -104,24 +94,15 @@ class SolverCacheStats:
     invalid_hits: int = 0
     merged: int = 0
     evictions: int = 0
-    component_hits: int = 0
-    component_misses: int = 0
-    component_stores: int = 0
-    component_evictions: int = 0
 
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
 
     def hit_rate(self) -> float:
-        """Fraction of whole-query lookups answered from the cache."""
+        """Fraction of lookups answered from the cache."""
         total = self.lookups
         return self.hits / total if total else 0.0
-
-    def component_hit_rate(self) -> float:
-        """Fraction of component lookups answered from the cache."""
-        total = self.component_hits + self.component_misses
-        return self.component_hits / total if total else 0.0
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -132,11 +113,6 @@ class SolverCacheStats:
             "merged": self.merged,
             "evictions": self.evictions,
             "hit_rate": round(self.hit_rate(), 4),
-            "component_hits": self.component_hits,
-            "component_misses": self.component_misses,
-            "component_stores": self.component_stores,
-            "component_evictions": self.component_evictions,
-            "component_hit_rate": round(self.component_hit_rate(), 4),
         }
 
 
@@ -149,11 +125,9 @@ class SolverCache:
     coordination beyond the internal lock is needed.
     """
 
-    #: Entry kinds: whole-query and connected-component verdicts.  The kind
-    #: strings double as the unified store's record namespaces
+    #: The unified store's record namespace for cache entries
     #: (:mod:`repro.store`).
     KIND_QUERY = "query"
-    KIND_COMPONENT = "component"
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
         self._entries: Dict[Tuple, CachedVerdict] = {}
@@ -161,14 +135,6 @@ class SolverCache:
         # to a persistent CacheStore or across a process boundary — and
         # rebuilt against a fresh intern table on the other side.
         self._conjuncts: Dict[Tuple, Tuple[Term, ...]] = {}
-        # The component-granularity layer: same key scheme, disjoint table.
-        # Component keys are always computed by *re*-canonicalizing the
-        # whole query's canonical conjuncts (first-application
-        # canonicalization is not a normal form — the commutative tiebreak
-        # compares the names the rename just changed), so every embedding
-        # of a component in any whole query lands on one shared key.
-        self._component_entries: Dict[Tuple, CachedVerdict] = {}
-        self._component_conjuncts: Dict[Tuple, Tuple[Term, ...]] = {}
         self._lock = threading.Lock()
         self.max_entries = max_entries
         self.stats = SolverCacheStats()
@@ -182,10 +148,6 @@ class SolverCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def component_count(self) -> int:
-        """Number of component-granularity entries currently stored."""
-        return len(self._component_entries)
 
     # ------------------------------------------------------------------
     def canonicalize(
@@ -228,9 +190,6 @@ class SolverCache:
                 self.stats.misses += 1
             else:
                 self.stats.hits += 1
-        # Whole-query granularity only: component lookups run orders of
-        # magnitude hotter and stay out of the event stream by design
-        # (their totals live in the stats tuple / metrics registry).
         EVENTS.emit(CACHE_HIT if entry is not None else CACHE_MISS)
         return entry
 
@@ -242,66 +201,27 @@ class SolverCache:
         one can only cost a future re-derivation, never correctness.
         """
         with self._lock:
-            if self._insert(self._entries, self._conjuncts, system.key, system.conjuncts, verdict):
+            if self._insert(system.key, system.conjuncts, verdict):
                 self.stats.stores += 1
 
-    def lookup_component(self, system: CanonicalSystem) -> Optional[CachedVerdict]:
-        """Return the stored verdict for one canonical component."""
-        with self._lock:
-            entry = self._component_entries.get(system.key)
-            if entry is None:
-                self.stats.component_misses += 1
-            else:
-                self.stats.component_hits += 1
-            return entry
-
-    def store_component(self, system: CanonicalSystem, verdict: CachedVerdict) -> None:
-        """Store the canonical verdict for one component (idempotent)."""
-        with self._lock:
-            if self._insert(
-                self._component_entries,
-                self._component_conjuncts,
-                system.key,
-                system.conjuncts,
-                verdict,
-            ):
-                self.stats.component_stores += 1
-
-    def _table_for(self, kind: str) -> Tuple[Dict, Dict]:
-        if kind == self.KIND_COMPONENT:
-            return self._component_entries, self._component_conjuncts
-        if kind == self.KIND_QUERY:
-            return self._entries, self._conjuncts
-        raise ValueError(f"unknown cache entry kind {kind!r}")
-
     def _insert(
-        self,
-        entries: Dict[Tuple, CachedVerdict],
-        conjunct_table: Dict[Tuple, Tuple[Term, ...]],
-        key: Tuple,
-        conjuncts: Tuple[Term, ...],
-        verdict: CachedVerdict,
+        self, key: Tuple, conjuncts: Tuple[Term, ...], verdict: CachedVerdict
     ) -> bool:
         """Insert under the held lock, evicting FIFO past ``max_entries``.
 
-        The bound applies to each table (whole-query / component)
-        independently.  Returns whether the entry was stored — a
-        non-positive ``max_entries`` means "keep nothing", not "evict
-        forever".
+        Returns whether the entry was stored — a non-positive
+        ``max_entries`` means "keep nothing", not "evict forever".
         """
-        if self.max_entries is not None and key not in entries:
+        if self.max_entries is not None and key not in self._entries:
             if self.max_entries <= 0:
                 return False
-            while len(entries) >= self.max_entries:
-                oldest = next(iter(entries))
-                del entries[oldest]
-                conjunct_table.pop(oldest, None)
-                if entries is self._entries:
-                    self.stats.evictions += 1
-                else:
-                    self.stats.component_evictions += 1
-        entries[key] = verdict
-        conjunct_table[key] = tuple(conjuncts)
+            while len(self._entries) >= self.max_entries:
+                oldest = next(iter(self._entries))
+                del self._entries[oldest]
+                self._conjuncts.pop(oldest, None)
+                self.stats.evictions += 1
+        self._entries[key] = verdict
+        self._conjuncts[key] = tuple(conjuncts)
         return True
 
     def note_invalid_hit(self) -> None:
@@ -314,28 +234,25 @@ class SolverCache:
         with self._lock:
             self._entries.clear()
             self._conjuncts.clear()
-            self._component_entries.clear()
-            self._component_conjuncts.clear()
             self._norm_memo.clear()
             self._key_memo.clear()
 
     # ------------------------------------------------------------------
     # Export / merge: the seam the persistent store and the process
     # backend share.  Entries travel as (fingerprint, canonical conjuncts,
-    # verdict) triples tagged with their kind; the key is recomputed from
-    # the receiving side's intern table, so intern ids never leak across
-    # process or run boundaries.
+    # verdict) triples; the key is recomputed from the receiving side's
+    # intern table, so intern ids never leak across process or run
+    # boundaries.
     # ------------------------------------------------------------------
     def entries_snapshot(
-        self, exclude_keys: Optional[set] = None, kind: str = KIND_QUERY
+        self, exclude_keys: Optional[set] = None
     ) -> List[Tuple[Tuple, Tuple[Term, ...], CachedVerdict]]:
         """Return ``(key, canonical conjuncts, verdict)`` for every entry."""
-        entries, conjunct_table = self._table_for(kind)
         with self._lock:
             return [
-                (key, conjunct_table[key], verdict)
-                for key, verdict in entries.items()
-                if key in conjunct_table
+                (key, self._conjuncts[key], verdict)
+                for key, verdict in self._entries.items()
+                if key in self._conjuncts
                 and (exclude_keys is None or key not in exclude_keys)
             ]
 
@@ -344,7 +261,6 @@ class SolverCache:
         fingerprint: Tuple,
         conjuncts: Sequence[Term],
         verdict: CachedVerdict,
-        kind: str = KIND_QUERY,
     ) -> Tuple:
         """Adopt one exported entry; returns its key in this cache.
 
@@ -354,37 +270,25 @@ class SolverCache:
         """
         conjuncts = tuple(conjuncts)
         key = (fingerprint, tuple(t._id for t in conjuncts))
-        entries, conjunct_table = self._table_for(kind)
         with self._lock:
-            if key not in entries and self._insert(
-                entries, conjunct_table, key, conjuncts, verdict
-            ):
+            if key not in self._entries and self._insert(key, conjuncts, verdict):
                 self.stats.merged += 1
         return key
 
     #: Width of the :meth:`stats_snapshot` tuple (the process backend's
     #: per-worker counter delta).
-    STATS_FIELDS = 7
+    STATS_FIELDS = 4
 
     def stats_snapshot(self) -> Tuple[int, ...]:
         """Atomic reading of the transferable counters.
 
-        ``(hits, misses, stores, invalid_hits, component_hits,
-        component_misses, component_stores)`` —
-        the tuple the process backend ships from workers and folds back
-        into the campaign cache via :meth:`add_external_stats`.
+        ``(hits, misses, stores, invalid_hits)`` — the tuple the process
+        backend ships from workers and folds back into the campaign cache
+        via :meth:`add_external_stats`.
         """
         with self._lock:
             stats = self.stats
-            return (
-                stats.hits,
-                stats.misses,
-                stats.stores,
-                stats.invalid_hits,
-                stats.component_hits,
-                stats.component_misses,
-                stats.component_stores,
-            )
+            return (stats.hits, stats.misses, stats.stores, stats.invalid_hits)
 
     def add_external_stats(
         self,
@@ -392,9 +296,6 @@ class SolverCache:
         misses: int,
         stores: int,
         invalid_hits: int,
-        component_hits: int = 0,
-        component_misses: int = 0,
-        component_stores: int = 0,
     ) -> None:
         """Fold counter deltas from a worker-local cache into this one."""
         with self._lock:
@@ -402,9 +303,6 @@ class SolverCache:
             self.stats.misses += misses
             self.stats.stores += stores
             self.stats.invalid_hits += invalid_hits
-            self.stats.component_hits += component_hits
-            self.stats.component_misses += component_misses
-            self.stats.component_stores += component_stores
 
 
 # ----------------------------------------------------------------------

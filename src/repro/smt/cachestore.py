@@ -8,8 +8,8 @@ in a small wire format plus its payload.  Loading re-interns every term
 against the current process's table and recomputes the key, so a warm
 start is exact regardless of how either process built its DAG.
 
-Two artifact kinds travel through this codec: ``query`` and
-``component`` — (conjuncts, verdict) pairs, the two cache granularities.
+One artifact kind travels through this codec: ``query`` — a
+(canonical conjuncts, verdict) pair per whole-query cache entry.
 
 Persistence itself — versioned + fingerprint-stamped ``meta.json``,
 sharded files with atomic replaces, and crucially the exclusive-lock
@@ -43,7 +43,9 @@ from repro.store import ArtifactStore, StoreRecord, content_key
 #: cold-start rather than carry records no reader understands.
 #: v6: the ``core`` kind and its ``"u"`` wire tag are gone, for the same
 #: reason.
-FORMAT_VERSION = 6
+#: v7: the ``component`` kind and its ``"k"`` wire tag are gone, for the
+#: same reason.
+FORMAT_VERSION = 7
 
 #: Default number of shard files a store spreads its entries over.
 DEFAULT_SHARD_COUNT = 16
@@ -55,12 +57,6 @@ _KIND_BY_VALUE = {kind.value: kind for kind in TermKind}
 
 #: Errors that mean "this file/entry is unusable", not "crash the run".
 _WIRE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError)
-
-#: Wire "k" tags <-> cache kinds.  The absent tag means a whole-query
-#: entry (v2 compatibility of the *format*, not the files — v2 stores are
-#: version-mismatched and reload cold).
-_TAG_BY_KIND = {SolverCache.KIND_COMPONENT: "c"}
-_KIND_BY_TAG = {tag: kind for kind, tag in _TAG_BY_KIND.items()}
 
 
 # ----------------------------------------------------------------------
@@ -123,11 +119,9 @@ def fingerprint_from_wire(obj) -> Tuple:
     )
 
 
-def entry_to_wire(
-    conjuncts: Sequence[Term], verdict: CachedVerdict, kind: str = SolverCache.KIND_QUERY
-) -> dict:
+def entry_to_wire(conjuncts: Sequence[Term], verdict: CachedVerdict) -> dict:
     """Serialize one (canonical conjuncts, verdict) pair."""
-    wire = {
+    return {
         "c": [term_to_wire(c) for c in conjuncts],
         "s": verdict.status,
         "m": (
@@ -138,14 +132,6 @@ def entry_to_wire(
         "r": verdict.reason,
         "t": list(verdict.stages),
     }
-    if kind == SolverCache.KIND_COMPONENT:
-        wire["k"] = "c"
-    return wire
-
-
-def entry_kind(obj: dict) -> str:
-    """The cache table a wire artifact belongs to."""
-    return _KIND_BY_TAG.get(obj.get("k"), SolverCache.KIND_QUERY)
 
 
 def entry_from_wire(obj: dict) -> Tuple[Tuple[Term, ...], CachedVerdict]:
@@ -166,31 +152,23 @@ def entry_from_wire(obj: dict) -> Tuple[Tuple[Term, ...], CachedVerdict]:
 def export_wire_entries(
     cache: SolverCache, exclude: Optional[set] = None
 ) -> Tuple[List[dict], List[Tuple]]:
-    """Serialize ``cache``'s artifacts (minus ``exclude`` tagged keys).
+    """Serialize ``cache``'s artifacts (minus the ``exclude`` cache keys).
 
-    Both kinds travel: whole-query and component-granularity entries.
-    Returns ``(wire_entries, keys)`` in matching order, where each key is a ``(kind, cache key)``
-    pair — the same tagging ``exclude`` is matched against — so callers
-    can record which artifacts have been shipped already.
+    Returns ``(wire_entries, keys)`` in matching order, so callers can
+    record which artifacts have been shipped already.
     """
     wire: List[dict] = []
     keys: List[Tuple] = []
-    for kind in (SolverCache.KIND_QUERY, SolverCache.KIND_COMPONENT):
-        excluded = (
-            {key for tag, key in exclude if tag == kind} if exclude else None
-        )
-        for key, conjuncts, verdict in cache.entries_snapshot(
-            exclude_keys=excluded, kind=kind
-        ):
-            item = entry_to_wire(conjuncts, verdict, kind=kind)
-            item["f"] = fingerprint_to_wire(key[0])
-            wire.append(item)
-            keys.append((kind, key))
+    for key, conjuncts, verdict in cache.entries_snapshot(exclude_keys=exclude):
+        item = entry_to_wire(conjuncts, verdict)
+        item["f"] = fingerprint_to_wire(key[0])
+        wire.append(item)
+        keys.append(key)
     return wire, keys
 
 
 def merge_wire_entries(cache: SolverCache, wire_entries: List[dict]) -> List[Tuple]:
-    """Adopt exported artifacts into ``cache``; returns the merged tagged keys.
+    """Adopt exported artifacts into ``cache``; returns the merged keys.
 
     Malformed entries are skipped — a bad delta or file costs coverage,
     never correctness.
@@ -198,12 +176,9 @@ def merge_wire_entries(cache: SolverCache, wire_entries: List[dict]) -> List[Tup
     merged: List[Tuple] = []
     for item in wire_entries:
         try:
-            kind = entry_kind(item)
             fingerprint = fingerprint_from_wire(item["f"])
             conjuncts, verdict = entry_from_wire(item)
-            merged.append(
-                (kind, cache.merge_canonical(fingerprint, conjuncts, verdict, kind=kind))
-            )
+            merged.append(cache.merge_canonical(fingerprint, conjuncts, verdict))
         except _WIRE_ERRORS:
             continue
     return merged
@@ -217,7 +192,7 @@ class CacheStore:
 
     The store layer supplies the durability contract (atomic replaces,
     version + fingerprint stamps, exclusive-lock merge-on-save); this
-    class maps cache tables to store records and back.
+    class maps cache entries to store records and back.
     """
 
     def __init__(self, cache_dir: str, shard_count: int = DEFAULT_SHARD_COUNT) -> None:
@@ -247,9 +222,8 @@ class CacheStore:
             if not isinstance(payload, dict):
                 continue
             try:
-                kind = entry_kind(payload)
                 conjuncts, verdict = entry_from_wire(payload)
-                cache.merge_canonical(fingerprint, conjuncts, verdict, kind=kind)
+                cache.merge_canonical(fingerprint, conjuncts, verdict)
                 merged += 1
             except _WIRE_ERRORS:
                 continue
@@ -259,7 +233,7 @@ class CacheStore:
     def save(self, cache: SolverCache, fingerprint: Tuple) -> int:
         """Merge ``cache``'s artifacts into the store; returns the total stored.
 
-        Both kinds are written.  UNKNOWN verdicts are *not*: an
+        UNKNOWN verdicts are *not* written: an
         UNKNOWN only records that this run's budget was exhausted, and
         persisting it would pin the failure across runs whose budgets (or
         solver improvements) could decide the query.
@@ -268,15 +242,11 @@ class CacheStore:
         entries already on disk (written by another campaign sharing this
         directory) survive — the union is what the next load sees.
         """
+        kind = SolverCache.KIND_QUERY
         records: List[StoreRecord] = []
-        for kind in (SolverCache.KIND_QUERY, SolverCache.KIND_COMPONENT):
-            for key, conjuncts, verdict in cache.entries_snapshot(kind=kind):
-                if key[0] != fingerprint:
-                    continue
-                if verdict.status == _UNKNOWN_STATUS:
-                    continue
-                payload = entry_to_wire(conjuncts, verdict, kind=kind)
-                records.append(
-                    StoreRecord(kind, content_key(kind, payload["c"]), payload)
-                )
+        for key, conjuncts, verdict in cache.entries_snapshot():
+            if key[0] != fingerprint or verdict.status == _UNKNOWN_STATUS:
+                continue
+            payload = entry_to_wire(conjuncts, verdict)
+            records.append(StoreRecord(kind, content_key(kind, payload["c"]), payload))
         return self._store.save(fingerprint_to_wire(fingerprint), records)

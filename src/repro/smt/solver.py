@@ -19,27 +19,21 @@ Layers 3 and 4 can only return SAT (with a checked model); layer 2 can only
 return UNSAT; layer 5 is complete but is budgeted by a conflict limit so the
 front end degrades to UNKNOWN rather than hanging on adversarial queries.
 
-Two orthogonal mechanisms exploit the structure *within and across*
-queries:
-
-* **Decomposition** (``enable_decomposition``): the conjunction is split
-  into independent connected components over the variable-sharing graph
-  (:mod:`repro.smt.decompose`); each component is decided separately —
-  against a component-granularity cache when one is attached — and
-  per-component models compose into the whole-query model (UNSAT in any
-  component is UNSAT overall).
-* **Sessions** (:class:`SolverSession`, via :meth:`PortfolioSolver.open_session`):
-  a push/pop constraint stack for callers that issue long chains of
-  near-identical queries (the enforcement loop).  A session keeps one
-  persistent :class:`~repro.smt.bitblast.BitBlaster` and one incremental
-  :class:`~repro.smt.sat.CDCLSolver`, so only delta conjuncts are blasted
-  and learned clauses carry over between checks; per-check conjuncts are
-  asserted through CDCL assumptions, never permanent units.
+Every query takes one path: with a :class:`~repro.smt.cache.SolverCache`
+attached, the whole-query cache answers or the portfolio decides the
+query's canonical representative; without one, the portfolio decides the
+query as given.  Callers that issue long chains of near-identical queries
+(the enforcement loop) drive a :class:`SolverSession` (via
+:meth:`PortfolioSolver.open_session`): a push/pop constraint stack whose
+complete backend keeps one persistent
+:class:`~repro.smt.bitblast.BitBlaster` and one incremental
+:class:`~repro.smt.sat.CDCLSolver`, so only delta conjuncts are blasted
+and learned clauses carry over between checks; per-check conjuncts are
+asserted through CDCL assumptions, never permanent units.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,8 +43,7 @@ from repro.obs.trace import TRACER
 from repro.smt import builder as b
 from repro.smt.bitblast import BitBlaster, BitBlastError
 from repro.smt.cache import CachedVerdict, SolverCache
-from repro.smt.decompose import compose_models, decompose
-from repro.smt.evalmodel import EvaluationError, Model, satisfies
+from repro.smt.evalmodel import Model, satisfies
 from repro.smt.heuristics import try_algebraic_solution
 from repro.smt.interval import Interval, propagate_intervals
 from repro.smt.sampler import ModelSampler, SamplerConfig, split_conjuncts
@@ -100,12 +93,6 @@ class SolverConfig:
     bitblast_max_width: int = 64
     heuristic_max_checks: int = 768
     seed: Optional[int] = 0
-    #: Decide independent connected components separately (and cache them
-    #: at component granularity when a cache is attached).
-    enable_decomposition: bool = True
-    #: Let callers that hold a :class:`SolverSession` drive the incremental
-    #: push/pop path (the enforcement loop checks this knob).
-    enable_sessions: bool = True
 
     def fingerprint(self) -> Tuple:
         """The knobs a cached verdict depends on.
@@ -113,11 +100,8 @@ class SolverConfig:
         Part of every solver-cache key, and the validity stamp of a
         persistent :class:`~repro.smt.cachestore.CacheStore` — results
         computed under different budgets must never be conflated, within a
-        run or across runs.  The incremental knobs are included because
-        they steer *which* model a heuristic layer lands on (never the
-        status), and cached models must stay deterministic per
-        configuration.  Primitives only, so it survives a JSON round trip
-        unchanged.
+        run or across runs.  Primitives only, so it survives a JSON round
+        trip unchanged.
         """
         sampler = self.sampler
         return (
@@ -131,8 +115,6 @@ class SolverConfig:
             sampler.seed,
             sampler.boundary_bias,
             sampler.perturbation_attempts,
-            self.enable_decomposition,
-            self.enable_sessions,
         )
 
 
@@ -255,23 +237,19 @@ class _TrackedBackend:
     budget exhaustion) are pure and remain storable.
 
     Taint is reported per call by the wrapped hook through its
-    ``last_call_tainted`` attribute (unknown callables are conservatively
-    treated as tainted) and propagates through nested wrappers, so a
-    component-level tainted call also marks the enclosing whole-query
-    wrapper.
+    ``last_call_tainted`` attribute; unknown callables are conservatively
+    treated as tainted.
     """
 
-    __slots__ = ("fn", "used", "last_call_tainted")
+    __slots__ = ("fn", "used")
 
     def __init__(self, fn: BitblastFn) -> None:
         self.fn = fn
         self.used = False
-        self.last_call_tainted = False
 
     def __call__(self, conjuncts: Sequence[Term]) -> Tuple[str, Optional[Model]]:
         result = self.fn(conjuncts)
-        self.last_call_tainted = getattr(self.fn, "last_call_tainted", True)
-        self.used = self.used or self.last_call_tainted
+        self.used = self.used or getattr(self.fn, "last_call_tainted", True)
         return result
 
     @classmethod
@@ -285,8 +263,7 @@ class PortfolioSolver:
     When a :class:`~repro.smt.cache.SolverCache` is supplied, queries are
     canonicalized (alpha-renamed over the hash-consed DAG) and the portfolio
     decides the canonical representative, so alpha-equivalent queries from
-    sibling sites and repeated enforcement iterations share one verdict —
-    at whole-query granularity first, then per connected component.
+    sibling sites and repeated enforcement iterations share one verdict.
     """
 
     def __init__(
@@ -297,7 +274,6 @@ class PortfolioSolver:
         self.config = config or SolverConfig()
         self.cache = cache
         self.query_count = 0
-        self.stage_hits: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -326,7 +302,7 @@ class PortfolioSolver:
                 if self.cache is not None:
                     return self._check_cached(conjuncts, started, stages)
                 return self._finish(
-                    self._solve_conjuncts(conjuncts, stages), started, stages
+                    self._run_portfolio(conjuncts, stages), started, stages
                 )
             finally:
                 # Propagation-loop work attributed to this solve, so trace
@@ -363,7 +339,7 @@ class PortfolioSolver:
                         conjuncts, started, stages, bitblast_fn=session
                     )
                 return self._finish(
-                    self._solve_conjuncts(conjuncts, stages, session),
+                    self._run_portfolio(conjuncts, stages, session),
                     started,
                     stages,
                 )
@@ -413,57 +389,25 @@ class PortfolioSolver:
     ) -> SolverResult:
         """Answer the query through the shared cache.
 
-        Hit or miss, the verdict is derived from the *canonical
-        representative* of the query, so the answer is a pure function of
-        the canonical system — independent of worker scheduling and of
-        which alpha-variant of the system was solved first.
+        Canonicalize and look up, verifying any translated SAT model
+        against the actual conjuncts (a failure is treated as a miss and
+        re-derived).  On a miss the portfolio decides the *canonical
+        representative*, so the answer is a pure function of the canonical
+        system — independent of worker scheduling and of which alpha-variant
+        of the system was solved first — and the verdict is stored unless
+        the (history-dependent) session backend actually decided it.
         """
         stages.append("cache")
-        result = self._solve_through_cache(
-            conjuncts,
-            stages,
-            bitblast_fn,
-            lookup=self.cache.lookup,
-            store=self.cache.store,
-            reason="cache",
-            solve=self._solve_conjuncts,
-        )
-        return self._finish(result, started, stages)
-
-    def _solve_through_cache(
-        self,
-        conjuncts: List[Term],
-        stages: List[str],
-        bitblast_fn: Optional[BitblastFn],
-        *,
-        lookup,
-        store,
-        reason: str,
-        solve,
-    ) -> SolverResult:
-        """The cache protocol shared by both granularities.
-
-        Canonicalize, look up (verifying any translated SAT model against
-        the actual conjuncts — a failure is treated as a miss and
-        re-derived), solve the canonical representative on a miss, store
-        the verdict unless the (history-dependent) session backend was
-        actually invoked, and translate the answer back.  ``lookup`` /
-        ``store`` select the whole-query or component table; ``solve``
-        decides the canonical conjuncts (the decomposing pipeline for
-        whole queries, the monolithic portfolio for one component).
-        """
-        system = self.cache.canonicalize(conjuncts, self._config_fingerprint())
-        cached = lookup(system)
+        system = self.cache.canonicalize(conjuncts, self.config.fingerprint())
+        cached = self.cache.lookup(system)
         if cached is not None:
-            if cached.status != SolverStatus.SAT:
+            model = None
+            if cached.status == SolverStatus.SAT:
+                model = system.translate_model(cached.canonical_model)
+            if model is None or all(satisfies(c, model) for c in conjuncts):
                 stages.extend(cached.stages)
-                return SolverResult(cached.status, reason=reason)
-            model = system.translate_model(cached.canonical_model)
-            if all(satisfies(c, model) for c in conjuncts):
-                stages.extend(cached.stages)
-                return SolverResult(
-                    SolverStatus.SAT, model=model, reason=reason
-                )
+                hit = SolverResult(cached.status, model=model, reason="cache")
+                return self._finish(hit, started, stages)
             # A stored model that does not survive translation means the
             # canonicalization missed a distinction; fall through and
             # re-derive (and overwrite) the entry.
@@ -471,115 +415,21 @@ class PortfolioSolver:
 
         mark = len(stages)
         tracked = _TrackedBackend.wrap(bitblast_fn)
-        canonical_result = solve(list(system.conjuncts), stages, tracked)
+        canonical = self._run_portfolio(list(system.conjuncts), stages, tracked)
         if tracked is None or not tracked.used:
-            store(
+            self.cache.store(
                 system,
                 CachedVerdict(
-                    status=canonical_result.status,
-                    canonical_model=canonical_result.model,
-                    reason=canonical_result.reason,
+                    status=canonical.status,
+                    canonical_model=canonical.model,
+                    reason=canonical.reason,
                     stages=tuple(stages[mark:]),
                 ),
             )
-        result = SolverResult(
-            canonical_result.status, reason=canonical_result.reason
-        )
-        if canonical_result.is_sat:
-            result.model = system.translate_model(canonical_result.model)
-        return result
-
-    def _config_fingerprint(self) -> Tuple:
-        """The configuration knobs a cached verdict depends on."""
-        return self.config.fingerprint()
-
-    # ------------------------------------------------------------------
-    # Decomposed solving
-    # ------------------------------------------------------------------
-    def _solve_conjuncts(
-        self,
-        conjuncts: List[Term],
-        stages: List[str],
-        bitblast_fn: Optional[BitblastFn] = None,
-    ) -> SolverResult:
-        """Decide a simplified, split conjunction, decomposing if enabled.
-
-        A single-component conjunction (the common case for enforcement
-        queries, whose branch constraints all share variables with the
-        target constraint) takes exactly the monolithic pipeline; a
-        multi-component one is decided component-by-component and the
-        models composed.  UNSAT in any component is UNSAT overall; an
-        undecided component degrades the whole query to UNKNOWN unless
-        some other component proves UNSAT.
-        """
-        if not self.config.enable_decomposition:
-            return self._run_portfolio(conjuncts, stages, bitblast_fn)
-        components = decompose(conjuncts)
-        if len(components) <= 1:
-            return self._solve_component(conjuncts, stages, bitblast_fn)
-
-        stages.append("decompose")
-        models: List[Model] = []
-        unknown: Optional[SolverResult] = None
-        for component in components:
-            component_stages: List[str] = []
-            result = self._solve_component(
-                list(component.conjuncts), component_stages, bitblast_fn
-            )
-            for stage in component_stages:
-                if stage not in stages:
-                    stages.append(stage)
-            if result.is_unsat:
-                return SolverResult(SolverStatus.UNSAT, reason=result.reason)
-            if not result.is_sat:
-                # Keep scanning: an UNSAT in a later component still decides
-                # the whole query even when this one timed out.
-                unknown = unknown or result
-                continue
-            models.append(result.model)
-        if unknown is not None:
-            return SolverResult(SolverStatus.UNKNOWN, reason=unknown.reason)
-
-        composed = compose_models(models)
-        try:
-            if all(satisfies(c, composed) for c in conjuncts):
-                return SolverResult(
-                    SolverStatus.SAT, model=composed, reason="decompose"
-                )
-        except EvaluationError:
-            pass
-        # Composition can only fail if a component model was partial in a
-        # way the component verification missed; fall back to the
-        # monolithic pipeline rather than guessing.
-        return self._run_portfolio(conjuncts, stages, bitblast_fn)
-
-    def _solve_component(
-        self,
-        conjuncts: List[Term],
-        stages: List[str],
-        bitblast_fn: Optional[BitblastFn] = None,
-    ) -> SolverResult:
-        """Decide one connected component, through the component cache.
-
-        The conjuncts are re-canonicalized even when they arrive already in
-        whole-canonical form: first-application canonicalization is *not* a
-        normal form (the commutative-operand tiebreak compares variable
-        names, which the rename just changed), and the component key
-        convention is the re-canonicalized one — the same convention every
-        embedding of this component in any whole query computes, which is
-        what makes cross-query component sharing line up.
-        """
-        if self.cache is None:
-            return self._run_portfolio(conjuncts, stages, bitblast_fn)
-        return self._solve_through_cache(
-            conjuncts,
-            stages,
-            bitblast_fn,
-            lookup=self.cache.lookup_component,
-            store=self.cache.store_component,
-            reason="component-cache",
-            solve=self._run_portfolio,
-        )
+        result = SolverResult(canonical.status, reason=canonical.reason)
+        if canonical.is_sat:
+            result.model = system.translate_model(canonical.model)
+        return self._finish(result, started, stages)
 
     # ------------------------------------------------------------------
     # The layered portfolio
@@ -655,7 +505,6 @@ class PortfolioSolver:
     ) -> SolverResult:
         result.elapsed_seconds = time.perf_counter() - started
         result.stages_tried = tuple(stages)
-        self.stage_hits[result.reason] = self.stage_hits.get(result.reason, 0) + 1
         if result.is_sat and result.model is None:
             raise AssertionError("SAT result without a model")
         return result
@@ -743,21 +592,21 @@ class SolverSession:
     iteration instead of rebuilding (and re-simplifying, re-splitting,
     re-blasting) the whole conjunction list every time.
 
-    The cheap portfolio layers and both cache granularities behave exactly
+    The cheap portfolio layers and the whole-query cache behave exactly
     as in :meth:`PortfolioSolver.check`; what is incremental is the
     complete backend: one persistent :class:`BitBlaster` translates only
     the conjuncts it has not seen before (terms are hash-consed, and
     canonicalized prefixes are stable across growing queries), and one
     persistent :class:`CDCLSolver` keeps its learned clauses, variable
     activity and saved phases across checks, asserting the current
-    conjuncts through per-call assumptions.  Classification parity with
-    the fresh-query path is the invariant: the incremental backend may
-    find a different *model* but must not change the *status*.  SAT and
-    UNSAT are semantic, so they can never flip; the one principled gap is
-    the conflict-budget boundary, where inherited search state could make
-    a timeout land differently — a session CDCL timeout therefore retries
-    the pure one-shot backend (never less complete than fresh), and the
-    registry-wide parity gates in the tests and ``bench_solver.py`` check
+    conjuncts through per-call assumptions.  Status parity with
+    :meth:`PortfolioSolver.check` is the invariant: the incremental
+    backend may find a different *model* but must not change the
+    *status*.  SAT and UNSAT are semantic, so they can never flip; the one
+    principled gap is the conflict-budget boundary, where inherited search
+    state could make a timeout land differently — a session CDCL timeout
+    therefore retries the pure one-shot backend (never less complete than
+    a one-shot check), and the parity tests and ``bench_solver.py`` check
     the equality empirically.
 
     Sessions are not thread-safe; each worker drives its own.
@@ -765,7 +614,6 @@ class SolverSession:
 
     def __init__(self, solver: PortfolioSolver) -> None:
         self.solver = solver
-        self.check_count = 0
         #: Whether the most recent complete-backend call's verdict depended
         #: on session state (see :class:`_TrackedBackend`): ``True`` when
         #: the incremental CDCL decided it, ``False`` when a cheap layer
@@ -777,9 +625,10 @@ class SolverSession:
         self._cdcl: Optional[CDCLSolver] = None
         #: name -> width of every bitvector variable the persistent blaster
         #: has seen.  The blaster keys variable bit-vectors by *name*, but
-        #: component-canonical names restart at ``v000`` per component, so
-        #: two components can reuse one name at different widths; such a
-        #: clash must not reach (and corrupt) the shared blaster.
+        #: with a cache attached each check blasts its own canonical
+        #: conjuncts, whose names restart at ``v000`` per query, so two
+        #: checks can reuse one name at different widths; such a clash must
+        #: not reach (and corrupt) the shared blaster.
         self._var_widths: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -819,7 +668,6 @@ class SolverSession:
         derives are answered but never stored in the shared cache (they
         depend on this session's history).
         """
-        self.check_count += 1
         return self.solver._check_session(self)
 
     # ------------------------------------------------------------------
@@ -831,8 +679,8 @@ class SolverSession:
         """Complete-backend hook: delta-blast + assumption-based CDCL.
 
         When a conjunct reuses a variable *name* the persistent blaster has
-        already allocated at a different width (component-canonical names
-        restart at ``v000`` per component), the call falls back to a fresh
+        already allocated at a different width (canonical names restart at
+        ``v000`` per query), the call falls back to a fresh
         one-shot blast: the per-name bit-vectors of the shared blaster
         cannot represent both widths, and a collision would wrongly degrade
         a decidable query to UNKNOWN.
@@ -845,7 +693,7 @@ class SolverSession:
         try:
             if self._blaster is None:
                 self._blaster = BitBlaster()
-            assumptions = self._blaster.assumptions_for(conjuncts)
+            assumptions = self._blaster.literals_for(conjuncts)
             if self._cdcl is None:
                 self._cdcl = CDCLSolver(
                     self._blaster.cnf, max_conflicts=config.bitblast_max_conflicts

@@ -171,27 +171,3 @@ class TestCampaignConfig:
             )
             assert isinstance(result, CampaignResult)
             assert len(result.application_results) == 1
-
-
-class TestIncrementalParity:
-    """PR 3's hard invariant: the incremental solving stack (sessions,
-    decomposition, component cache) is classification-transparent on the
-    full registry."""
-
-    def test_fresh_query_campaign_matches_the_incremental_default(
-        self, serial_reference
-    ):
-        config = CampaignConfig(jobs=1, backend="serial")
-        config.diode.solver.enable_sessions = False
-        config.diode.solver.enable_decomposition = False
-        fresh = run_campaign(config)
-        incremental = run_campaign(CampaignConfig(jobs=1, backend="serial"))
-        assert incremental.classifications() == fresh.classifications()
-        assert incremental.classifications() == serial_reference
-
-    def test_component_cache_counters_surface_in_campaign_stats(self):
-        result = run_campaign(CampaignConfig(jobs=1, backend="serial"))
-        stats = result.cache_stats.as_dict()
-        assert "component_hits" in stats
-        assert "component_hit_rate" in stats
-        assert stats["component_misses"] + stats["component_hits"] > 0

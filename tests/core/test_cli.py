@@ -130,28 +130,25 @@ class TestCampaignCommand:
         assert excinfo.value.code == 2
         assert f"argument --jobs: must be >= 1 (got {jobs})" in capsys.readouterr().err
 
-    def test_campaign_no_incremental_flag_keeps_classifications(self, capsys):
-        """The fresh-query ablation path reports identical classifications."""
+    def test_campaign_rejects_the_removed_incremental_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--no-incremental", "--apps", "vlc"])
+        assert excinfo.value.code == 2
+        assert "--no-incremental" in capsys.readouterr().err
+
+    def test_campaign_json_drops_incremental_and_component_counters(self, capsys):
         assert main(["campaign", "--jobs", "1", "--apps", "vlc", "--json"]) == 0
-        incremental = json.loads(capsys.readouterr().out)
-        assert incremental["incremental"] is True
-        assert (
-            main(
-                [
-                    "campaign",
-                    "--jobs",
-                    "1",
-                    "--apps",
-                    "vlc",
-                    "--no-incremental",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        fresh = json.loads(capsys.readouterr().out)
-        assert fresh["incremental"] is False
-        assert fresh["classifications"] == incremental["classifications"]
+        payload = json.loads(capsys.readouterr().out)
+        assert "incremental" not in payload
+        assert set(payload["cache_stats"]) == {
+            "hits",
+            "misses",
+            "stores",
+            "invalid_hits",
+            "merged",
+            "evictions",
+            "hit_rate",
+        }
 
     def test_campaign_rejects_the_removed_core_guidance_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -21,7 +21,8 @@ from repro.core.target import extract_target_observations
 from repro.formats.fields import Endianness, FieldKind, FieldSpec
 from repro.formats.spec import FormatSpec
 from repro.lang.program import Program
-from repro.smt.solver import PortfolioSolver, SolverConfig
+from repro.smt.cache import SolverCache
+from repro.smt.solver import PortfolioSolver, SolverStatus
 
 # A miniature application with one site of each classification:
 #  - guarded.c@1   : exposed only after enforcing the two sanity checks
@@ -103,10 +104,10 @@ def _observation(app: Application, tag: str):
 def _enforcer(
     app: Application,
     config: EnforcementConfig | None = None,
-    solver_config: SolverConfig | None = None,
+    cache: SolverCache | None = None,
 ) -> GoalDirectedEnforcer:
     return GoalDirectedEnforcer(
-        PortfolioSolver(solver_config),
+        PortfolioSolver(cache=cache),
         InputGenerator(app.seed_input, app.format_spec),
         ErrorDetector(app.program, app.seed_input),
         config,
@@ -234,33 +235,55 @@ class TestDiodeEngine:
         assert report.cve == "CVE-0000-0001"
 
 
-class TestIncrementalSessions:
-    """Session-driven enforcement (the default) against the fresh-query
-    reference path: identical outcomes, enforced branches and steps."""
-
-    def _run_both(self, app, tag):
-        fresh_config = SolverConfig(
-            enable_sessions=False, enable_decomposition=False
-        )
-        fresh = _enforcer(app, solver_config=fresh_config)
-        return _run_site(app, tag), fresh.run(_observation(app, tag))
+class TestSessionStatusParity:
+    """The enforcer always drives a solver session; every check's status
+    equals a one-shot ``PortfolioSolver.check`` of the same conjunction
+    (β plus the branches enforced so far)."""
 
     @pytest.mark.parametrize(
         "tag", ["open.c@2", "guarded.c@1", "capped.c@3", "narrow.c@4"]
     )
-    def test_session_path_matches_fresh_path(self, mini_app, tag):
-        incremental, fresh = self._run_both(mini_app, tag)
-        assert incremental.outcome is fresh.outcome
-        assert incremental.enforced_count == fresh.enforced_count
-        assert len(incremental.steps) == len(fresh.steps)
-        assert [s.solver_status for s in incremental.steps] == [
-            s.solver_status for s in fresh.steps
-        ]
+    def test_step_statuses_match_portfolio_check(self, mini_app, tag):
+        result = _run_site(mini_app, tag)
+        checked = [(step.iteration, step.solver_status) for step in result.steps]
+        if result.outcome is EnforcementOutcome.TARGET_UNSATISFIABLE:
+            checked.append((0, SolverStatus.UNSAT))
+        assert checked
+        reference = PortfolioSolver()
+        for iteration, status in checked:
+            enforced = result.enforced_branches[:iteration]
+            conjunction = [result.target_constraint] + [b.condition for b in enforced]
+            assert reference.check(conjunction).status == status
 
-    def test_default_config_enables_sessions(self):
-        config = SolverConfig()
-        assert config.enable_sessions
-        assert config.enable_decomposition
+    @pytest.mark.parametrize(
+        "tag", ["open.c@2", "guarded.c@1", "capped.c@3", "narrow.c@4"]
+    )
+    def test_each_run_opens_one_session_and_never_checks_one_shot(
+        self, mini_app, tag
+    ):
+        """Every solver check of a run goes through the run's own session:
+        one ``open_session`` per run and no call of the one-shot ``check``."""
+
+        class CountingSolver(PortfolioSolver):
+            sessions = 0
+            one_shot_checks = 0
+
+            def open_session(self):
+                CountingSolver.sessions += 1
+                return super().open_session()
+
+            def check(self, constraints):
+                CountingSolver.one_shot_checks += 1
+                return super().check(constraints)
+
+        enforcer = _enforcer(mini_app)
+        enforcer.solver = CountingSolver()
+        observation = _observation(mini_app, tag)
+        for run in (1, 2):
+            enforcer.run(observation)
+            assert CountingSolver.sessions == run
+        assert CountingSolver.one_shot_checks == 0
+        assert enforcer.solver.query_count > 0
 
 
 class TestNoCrossObservationState:
@@ -268,14 +291,14 @@ class TestNoCrossObservationState:
     rerun of the same observation pays the same solver checks and returns
     the same result (only the wall time differs)."""
 
-    @pytest.mark.parametrize("sessions", [True, False], ids=["session", "fresh"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
     @pytest.mark.parametrize(
         "tag", ["open.c@2", "guarded.c@1", "capped.c@3", "narrow.c@4"]
     )
-    def test_rerun_repeats_checks_and_result(self, mini_app, tag, sessions):
-        enforcer = _enforcer(
-            mini_app, solver_config=SolverConfig(enable_sessions=sessions)
-        )
+    def test_rerun_repeats_checks_and_result(self, mini_app, tag, cached):
+        """With a solver cache the rerun's checks are answered from it, yet
+        the check count and the result are the first run's."""
+        enforcer = _enforcer(mini_app, cache=SolverCache() if cached else None)
         observation = _observation(mini_app, tag)
         runs = []
         for _ in range(2):
@@ -287,18 +310,22 @@ class TestNoCrossObservationState:
         assert first_checks == second_checks > 0
         assert first == second
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
     @pytest.mark.parametrize(
         "tag", ["open.c@2", "guarded.c@1", "capped.c@3", "narrow.c@4"]
     )
-    def test_earlier_observations_do_not_change_a_later_one(self, mini_app, tag):
+    def test_earlier_observations_do_not_change_a_later_one(
+        self, mini_app, tag, cached
+    ):
         """Running every other site's observation first through the same
-        enforcer leaves this site's checks and result as a new enforcer's."""
+        enforcer (and, when cached, the same solver cache) leaves this
+        site's checks and result as a new enforcer's."""
         observation = _observation(mini_app, tag)
-        fresh = _enforcer(mini_app)
+        fresh = _enforcer(mini_app, cache=SolverCache() if cached else None)
         expected = fresh.run(observation)
         expected_checks = fresh.solver.query_count
 
-        shared = _enforcer(mini_app)
+        shared = _enforcer(mini_app, cache=SolverCache() if cached else None)
         for other in ("open.c@2", "guarded.c@1", "capped.c@3", "narrow.c@4"):
             if other != tag:
                 shared.run(_observation(mini_app, other))

@@ -147,24 +147,18 @@ _SYSTEMS = [
 ]
 
 
-def _total_entries(cache):
-    """Artifacts across both kinds (query, component)."""
-    return len(cache) + cache.component_count()
-
-
 class TestCacheStoreRoundTrip:
     def test_save_then_load_restores_every_entry(self, tmp_path):
         fingerprint = SolverConfig().fingerprint()
         cache, _ = _warmed_cache(_SYSTEMS)
         store = CacheStore(str(tmp_path))
         saved = store.save(cache, fingerprint)
-        assert saved == _total_entries(cache) > 0
+        assert saved == len(cache) > 0
 
         fresh = SolverCache()
         loaded = store.load(fresh, fingerprint)
         assert loaded == saved
         assert len(fresh) == len(cache)
-        assert fresh.component_count() == cache.component_count()
         assert fresh.stats.merged == loaded
 
     def test_warm_started_cache_answers_from_cache(self, tmp_path):
@@ -191,7 +185,7 @@ class TestCacheStoreRoundTrip:
             CachedVerdict(status="sat", canonical_model=Model({"v000": 0}), reason=""),
         )
         saved = CacheStore(str(tmp_path)).save(cache, fingerprint)
-        assert saved == _total_entries(cache) - 1
+        assert saved == len(cache) - 1
 
 
 class TestStoreInvalidation:
@@ -267,7 +261,34 @@ class TestStoreInvalidation:
         assert FORMAT_VERSION > 5
         fresh = SolverCache()
         assert CacheStore(str(tmp_path)).load(fresh, fingerprint) == 0
-        assert len(fresh) == 0 and fresh.component_count() == 0
+        assert len(fresh) == 0
+
+    def test_v6_store_with_component_records_is_a_cold_start(self, tmp_path):
+        """Format 6 also persisted connected-component verdicts (kind
+        ``component``, wire tag ``"k": "c"``); such a store must load
+        nothing, not its whole-query half."""
+        fingerprint = SolverConfig().fingerprint()
+        cache, _ = _warmed_cache(_SYSTEMS[:1])
+        records = []
+        for _key, conjuncts, verdict in cache.entries_snapshot():
+            for kind in (SolverCache.KIND_QUERY, "component"):
+                payload = entry_to_wire(conjuncts, verdict)
+                if kind == "component":
+                    payload["k"] = "c"
+                records.append(
+                    StoreRecord(kind, content_key(kind, payload["c"]), payload)
+                )
+        ArtifactStore(str(tmp_path), version=6).save(
+            fingerprint_to_wire(fingerprint), records
+        )
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["version"] == 6
+        assert meta["kinds"] == {"query": len(cache), "component": len(cache)}
+
+        assert FORMAT_VERSION == 7
+        fresh = SolverCache()
+        assert CacheStore(str(tmp_path)).load(fresh, fingerprint) == 0
+        assert len(fresh) == 0
 
 
 class TestWireEntryExchange:
@@ -278,20 +299,19 @@ class TestWireEntryExchange:
         fingerprint = SolverConfig().fingerprint()
         source, _ = _warmed_cache(_SYSTEMS)
         wire, keys = export_wire_entries(source)
-        assert len(wire) == len(keys) == _total_entries(source)
+        assert len(wire) == len(keys) == len(source)
 
         target = SolverCache()
         merged = merge_wire_entries(target, wire)
         assert sorted(map(str, merged)) == sorted(map(str, keys))
         assert len(target) == len(source)
-        assert target.component_count() == source.component_count()
 
     def test_exclude_skips_already_shipped_keys(self):
         source, _ = _warmed_cache(_SYSTEMS)
         _, keys = export_wire_entries(source)
         shipped = set(keys[:1])
         wire, rest = export_wire_entries(source, exclude=shipped)
-        assert len(wire) == _total_entries(source) - 1
+        assert len(wire) == len(source) - 1
         assert not shipped.intersection(rest)
 
     def test_malformed_wire_entries_are_skipped(self):
@@ -348,6 +368,22 @@ class TestCampaignWarmStart:
         assert warm.cache_loaded == cold.cache_saved
         assert warm.cache_stats.hit_rate() > cold.cache_stats.hit_rate()
         assert warm.classifications() == cold.classifications()
+
+    def test_campaign_store_holds_one_query_record_per_entry(self, tmp_path):
+        """Each cache miss leaves exactly one whole-query record; a warm
+        rerun over the store misses nothing."""
+        from repro.core.campaign import CampaignConfig, run_campaign
+
+        config = lambda: CampaignConfig(
+            jobs=1, applications=["vlc"], cache_dir=str(tmp_path)
+        )
+        cold = run_campaign(config())
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["kinds"] == {"query": cold.cache_saved}
+        assert cold.cache_saved == cold.cache_stats.stores > 0
+        warm = run_campaign(config())
+        assert warm.cache_loaded == cold.cache_saved
+        assert warm.cache_stats.misses == 0
 
     def test_no_save_cache_leaves_the_store_untouched(self, tmp_path):
         from repro.core.campaign import CampaignConfig, run_campaign

@@ -248,11 +248,7 @@ def test_legacy_hot_path_restores_on_error():
 # Propagation-loop telemetry (satellite: solver.propagations counters)
 # ----------------------------------------------------------------------
 def test_cdcl_bound_solve_records_propagation_counters():
-    config = SolverConfig(
-        enable_sessions=False,
-        enable_decomposition=False,
-        heuristic_max_checks=2,
-    )
+    config = SolverConfig(heuristic_max_checks=2)
     x = b.bv_var("tc", 16)
     system = [
         b.eq(b.bvand(b.mul(x, x), b.bv_const(31, 16)), b.bv_const(5, 16))

@@ -7,7 +7,9 @@ Core invariants:
   interval);
 * the bit-blasting backend agrees with the term evaluator on small widths;
 * machine arithmetic in the evaluator matches Python big-int arithmetic
-  reduced modulo the width.
+  reduced modulo the width;
+* the portfolio decides conjunctions over independent variable groups
+  exactly (SAT iff every group is, with a model satisfying every conjunct).
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.smt import builder as b
 from repro.smt.bitblast import solve_terms
-from repro.smt.evalmodel import evaluate
+from repro.smt.evalmodel import evaluate, satisfies
 from repro.smt.interval import Interval, interval_of, propagate_intervals
 from repro.smt.sat import SatStatus
 from repro.smt.simplify import simplify
+from repro.smt.solver import PortfolioSolver
 from repro.smt.terms import Term, TermKind, to_signed
 
 WIDTH = 8
@@ -153,3 +156,38 @@ class TestBitBlastAgreement:
         status, solved = solve_terms([constraint])
         if status == SatStatus.SAT:
             assert evaluate(constraint, solved) == 1
+
+
+@st.composite
+def independent_pool_systems(draw):
+    """Comparisons against constants over three variables that share no
+    conjunct, grouped by variable."""
+    comparisons = st.sampled_from([b.ult, b.ule, b.eq, b.ne, b.ugt, b.uge])
+    pools = {}
+    for name in ("x", "y", "z"):
+        count = draw(st.integers(min_value=0, max_value=2))
+        pools[name] = [
+            draw(comparisons)(b.bv_var(name, WIDTH), b.bv_const(draw(VALUE), WIDTH))
+            for _ in range(count)
+        ]
+    return pools
+
+
+class TestIndependentGroups:
+    @given(pools=independent_pool_systems())
+    @settings(max_examples=50, deadline=None)
+    def test_status_matches_per_variable_enumeration(self, pools):
+        """The conjunction is SAT iff each variable's own conjuncts are
+        (checked by enumerating all 2^8 values), and a SAT model, with
+        unconstrained variables read as 0, satisfies every conjunct."""
+        conjuncts = [c for group in pools.values() for c in group]
+        expected_sat = all(
+            any(all(satisfies(c, {name: value}) for c in group) for value in range(1 << WIDTH))
+            for name, group in pools.items()
+        )
+        result = PortfolioSolver().check(conjuncts)
+        assert result.is_sat == expected_sat
+        assert result.is_unsat == (not expected_sat)
+        if result.is_sat:
+            model = {name: result.model.get(name, 0) for name in pools}
+            assert all(satisfies(c, model) for c in conjuncts)

@@ -151,6 +151,54 @@ def _rename(term: Term, renaming) -> Term:
     )
 
 
+class TestWholeQueryShapes:
+    """Every query is decided as one whole conjunction, cached or not,
+    whatever its variable-sharing shape: empty, variable-free conjuncts,
+    transitive chains, and independent conjuncts in any order."""
+
+    @pytest.fixture(params=[False, True], ids=["uncached", "cached"])
+    def solver(self, request):
+        return PortfolioSolver(cache=SolverCache() if request.param else None)
+
+    def test_empty_conjunction_is_sat(self, solver):
+        result = solver.check([])
+        assert result.is_sat
+        assert result.model.as_dict() == {}
+
+    def test_variable_free_conjuncts_never_change_the_verdict(self, solver):
+        bounded = b.ult(b.bv_var("vf_x", WIDTH), b.bv_const(4, WIDTH))
+        padded = solver.check([b.TRUE, bounded, b.TRUE])
+        assert padded.is_sat
+        _assert_model_satisfies(padded.model, [bounded])
+        assert solver.check([bounded, b.FALSE]).is_unsat
+
+    def test_transitive_chain_is_decided_as_one_query(self, solver):
+        """x < y < z < w links all four variables; closing the cycle with
+        w < x is UNSAT, and an unrelated fifth conjunct keeps the open
+        chain SAT with a model that satisfies every link."""
+        x, y, z, w, q = (b.bv_var(f"tc_{n}", WIDTH) for n in "xyzwq")
+        chain = [b.ult(x, y), b.ult(y, z), b.ult(z, w)]
+        open_chain = chain + [b.ugt(q, b.bv_const(0, WIDTH))]
+        result = solver.check(open_chain)
+        assert result.is_sat
+        _assert_model_satisfies(result.model, open_chain)
+        assert solver.check(chain + [b.ult(w, x)]).is_unsat
+
+    def test_interleaved_and_grouped_orders_agree(self, solver):
+        """Conjuncts over two unrelated variables, interleaved or grouped
+        per variable, get the same verdict and models that satisfy all."""
+        p, q = b.bv_var("io_p", WIDTH), b.bv_var("io_q", WIDTH)
+        p_low, q_low = b.ult(p, b.bv_const(9, WIDTH)), b.ult(q, b.bv_const(9, WIDTH))
+        p_high, q_high = b.ugt(p, b.bv_const(1, WIDTH)), b.ugt(q, b.bv_const(1, WIDTH))
+        for order in ([p_low, q_low, p_high, q_high], [p_low, p_high, q_low, q_high]):
+            result = solver.check(order)
+            assert result.is_sat
+            _assert_model_satisfies(result.model, order)
+        clash = b.ult(q, b.bv_const(2, WIDTH))
+        assert solver.check([p_low, q_high, p_high, clash]).is_unsat
+        assert solver.check([p_low, p_high, q_high, clash]).is_unsat
+
+
 class TestCanonicalization:
     def test_alpha_equivalent_systems_share_one_key(self):
         cache = SolverCache()
@@ -189,10 +237,11 @@ class TestCanonicalization:
             != cache.canonicalize([second, first], fingerprint=()).key
         )
 
-    def test_incremental_knobs_are_fingerprinted(self):
-        base = SolverConfig().fingerprint()
-        assert SolverConfig(enable_sessions=False).fingerprint() != base
-        assert SolverConfig(enable_decomposition=False).fingerprint() != base
+    def test_fingerprint_holds_only_the_budget_and_seed_knobs(self):
+        fingerprint = SolverConfig().fingerprint()
+        assert len(fingerprint) == 10
+        assert SolverConfig(seed=1).fingerprint() != fingerprint
+        assert SolverConfig(enable_bitblast=False).fingerprint() != fingerprint
 
     def test_fingerprint_separates_solver_configurations(self):
         cache = SolverCache()
@@ -296,6 +345,41 @@ class TestCacheStore:
         assert cache.stats.merged == 3
         assert cache.stats.evictions == 2
 
+    def test_one_miss_canonicalizes_once_and_stores_one_entry(self):
+        """A miss costs one canonicalization and leaves one entry, even for
+        a query over independent variable groups."""
+        cache = SolverCache()
+        calls = []
+        canonicalize = cache.canonicalize
+        cache.canonicalize = lambda *args: calls.append(args) or canonicalize(*args)
+        x, y = b.bv_var("x", WIDTH), b.bv_var("y", WIDTH)
+        system = [b.ult(x, b.bv_const(9, WIDTH)), b.ugt(y, b.bv_const(2, WIDTH))]
+        assert PortfolioSolver(cache=cache).check(system).is_sat
+        assert len(calls) == 1
+        assert len(cache) == cache.stats.stores == 1
+        assert len(cache.entries_snapshot()) == 1
+
+    @pytest.mark.parametrize("shape", ["independent", "tiebreak"])
+    def test_alpha_equivalent_sibling_queries_share_one_entry(self, shape):
+        """Sibling sites constrain differently named fields with identical
+        structure.  The ``tiebreak`` shape renames ``y`` first, which flips
+        the commutative operand order of ``x + y`` against the original
+        names; both siblings still land on one whole-query entry."""
+
+        def system(first, second):
+            x, y = b.bv_var(first, WIDTH), b.bv_var(second, WIDTH)
+            if shape == "independent":
+                return [b.ult(x, b.bv_const(9, WIDTH)), b.ugt(y, b.bv_const(2, WIDTH))]
+            return [b.ult(y, x), b.eq(b.add(x, y), b.bv_const(10, WIDTH))]
+
+        cache = SolverCache()
+        solver = PortfolioSolver(cache=cache)
+        first = solver.check(system("sib_a", "sib_b"))
+        second = solver.check(system("sib_p", "sib_q"))
+        assert first.status == second.status == SolverStatus.SAT
+        assert second.reason == "cache"
+        assert (cache.stats.hits, cache.stats.misses, len(cache)) == (1, 1, 1)
+
     def test_unsat_verdicts_are_shared(self):
         """Blocking-check systems over renamed fields share one UNSAT proof.
 
@@ -384,7 +468,7 @@ class TestCacheStore:
         solver.check(system)
         snapshot = cache.stats_snapshot()
         assert len(snapshot) == SolverCache.STATS_FIELDS == process._STATS_FIELDS
-        assert snapshot[0] >= 1 and snapshot[4] + snapshot[6] >= 1
+        assert snapshot == (1, 1, 1, 0)
         folded = SolverCache()
         folded.add_external_stats(*snapshot)
         assert folded.stats_snapshot() == snapshot

@@ -92,15 +92,21 @@ class TestUnsatDerivation:
         assert solver.check([align]).is_sat
         assert solver.check([parity]).is_sat
 
-    @pytest.mark.parametrize("decomposition", [True, False], ids=["split", "whole"])
-    def test_an_unsat_component_decides_the_query(self, decomposition):
-        _x, contradiction = _bounds_clash(f"comp{decomposition}")
-        y = b.bv_var(f"cy{decomposition}", WIDTH)
-        config = SolverConfig(enable_decomposition=decomposition)
-        result = PortfolioSolver(config, cache=SolverCache()).check(
-            [b.ult(y, b.bv_const(3, WIDTH))] + contradiction
-        )
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    def test_one_unsat_conjunct_among_independent_ones_decides_the_query(
+        self, cached
+    ):
+        """The clash shares no variable with the satisfiable conjuncts
+        around it; the whole query is UNSAT, cached or not."""
+        _x, contradiction = _bounds_clash(f"indep{cached}")
+        y, z = b.bv_var(f"iy{cached}", WIDTH), b.bv_var(f"iz{cached}", WIDTH)
+        cache = SolverCache() if cached else None
+        solver = PortfolioSolver(SolverConfig(), cache=cache)
+        independent = [b.ult(y, b.bv_const(3, WIDTH)), b.ugt(z, b.bv_const(9, WIDTH))]
+        assert solver.check(independent).is_sat
+        result = solver.check(independent[:1] + contradiction + independent[1:])
         assert result.is_unsat
+        assert result.reason == "interval propagation"
 
     @given(
         bound=st.integers(min_value=1, max_value=2**WIDTH - 2),
@@ -134,7 +140,7 @@ class TestNoSubsumption:
         assert cache.stats.misses == misses + 1
         assert result.reason == "interval propagation"
 
-    def test_store_holds_only_query_and_component_records(self, tmp_path):
+    def test_store_holds_only_query_records(self, tmp_path):
         config = SolverConfig()
         cache = SolverCache()
         solver = PortfolioSolver(config, cache=cache)
@@ -143,8 +149,9 @@ class TestNoSubsumption:
         assert solver.check(system + [b.ult(y, b.bv_const(3, WIDTH))]).is_unsat
         CacheStore(str(tmp_path)).save(cache, config.fingerprint())
         meta = json.loads((tmp_path / "meta.json").read_text())
-        assert meta["version"] == FORMAT_VERSION == 6
-        assert set(meta["kinds"]) <= {"query", "component"}
+        assert meta["version"] == FORMAT_VERSION == 7
+        assert set(meta["kinds"]) == {"query"}
+        assert meta["entries"] == len(cache) == 1
 
         warm_cache = SolverCache()
         CacheStore(str(tmp_path)).load(warm_cache, config.fingerprint())
@@ -155,7 +162,10 @@ class TestNoSubsumption:
 
 
 class TestNoCoreSurface:
-    @pytest.mark.parametrize("knob", ["enable_unsat_cores", "reuse_sessions"])
+    @pytest.mark.parametrize(
+        "knob",
+        ["enable_unsat_cores", "reuse_sessions", "enable_sessions", "enable_decomposition"],
+    )
     def test_removed_solver_knobs_are_rejected(self, knob):
         with pytest.raises(TypeError):
             SolverConfig(**{knob: False})
